@@ -7,7 +7,7 @@ from .decoding import DecodeConfig, DecodeResult, beam_search, greedy
 from .metrics import MetricsReport, evaluate_run
 from .model import AdapterSet, Model, ModelConfig, build_model, swap_adapters
 from .store import load_adapter, load_checkpoint, save_adapter, save_checkpoint
-from .training import AdamW, Hyper, run_pipeline
+from .training import AdamW, Hyper
 
 __version__ = "0.1.0"
 
@@ -19,6 +19,6 @@ __all__ = [
     "MetricsReport", "evaluate_run",
     "AdapterSet", "Model", "ModelConfig", "build_model", "swap_adapters",
     "load_adapter", "load_checkpoint", "save_adapter", "save_checkpoint",
-    "AdamW", "Hyper", "run_pipeline",
+    "AdamW", "Hyper",
     "__version__",
 ]

@@ -31,8 +31,11 @@ from . import decoding as dec
 from . import metrics as mx
 from . import model as mdl
 from . import store, training
-from .config import RunConfig, apply_preset, load_config, parse_overrides, save_config
+from .config import RunConfig, from_items, read_config_file, save_config
 from .data import STYLELESS, STYLES, Vocab, child_seed, generate_data_dir, read_corpus
+
+
+MODES = ("inverse-para", "denoise")
 
 
 class CliError(RuntimeError):
@@ -116,7 +119,7 @@ def cmd_train_adapter(cfg: RunConfig, ws: Workspace, style: str, mode: str) -> i
     _require_data(ws)
     vocab = Vocab()
     model = ensure_base(cfg, ws)
-    splits = training.load_style_pairs(ws.data, style, mode, vocab, cfg.max_len)
+    splits = training.load_style_pairs(ws.data, style, mode, vocab, cfg.model.max_len)
     label = f"step1.{style}.{mode}"
     hp = cfg.hyper(epochs=cfg.step1_epochs, seed=child_seed(cfg.seed, label),
                    log_path=ws.logs / f"{label}.jsonl")
@@ -145,12 +148,12 @@ def cmd_train_task(cfg: RunConfig, ws: Workspace, task: str, trainable: str,
         if not adapter_file.exists():
             raise CliError(f"{adapter_file} missing; run train-adapter --style s0 first")
         adapters = store.load_adapter(adapter_file, model)
-    splits = training.load_task_pairs(ws.data, task, vocab, cfg.max_len)
+    splits = training.load_task_pairs(ws.data, task, vocab, cfg.model.max_len)
     label = f"step2.{task}.{trainable}" + (f".{variant}" if variant else "")
     hp = cfg.hyper(epochs=cfg.step2_epochs, seed=child_seed(cfg.seed, label),
                    log_path=ws.logs / f"{label}.jsonl")
     started = time.time()
-    result = training.train_task(model, vocab, adapters, splits, task, trainable, hp)
+    result = training.train_task(model, vocab, adapters, splits, trainable, hp)
     path = ws.task_model_path(task, trainable, variant)
     store.save_checkpoint(model, path)
     print(f"train-task: task={task} trainable={trainable} epochs={result.epochs_run} "
@@ -248,15 +251,13 @@ def cmd_ablate(cfg: RunConfig, ws: Workspace, task: str) -> int:
     ws.ensure_dirs()
     if not (ws.data / "manifest.json").exists():
         cmd_gen_data(cfg, ws)
-    modes = ("inverse-para", "denoise")
-    selectors = ("enc", "enc+catt", "enc+catt+dec")
-    for mode in modes:
+    for mode in MODES:
         for style in (STYLELESS,) + tuple(cfg.styles):
             if not ws.adapter_path(style, mode).exists():
                 cmd_train_adapter(cfg, ws, style, mode)
     rows = []
-    for mode in modes:
-        for sel in selectors:
+    for mode in MODES:
+        for sel in mdl.SELECTORS:
             variant = f"ablate-{mode}"
             cmd_train_task(cfg, ws, task, sel, variant=variant, s0_mode=mode)
             row = _ablate_row(cfg, ws, task, sel, mode, variant)
@@ -281,8 +282,8 @@ def _ablate_row(cfg: RunConfig, ws: Workspace, task: str, trainable: str,
                 mode: str, variant: str) -> mx.MetricsReport:
     """One grid cell: style-less quality metrics + per-style matched marker rates."""
     vocab = Vocab()
-    cmd_generate(cfg, ws, task, STYLELESS, mode="inverse-para" if mode != "none" else mode,
-                 trainable=trainable, variant=variant)
+    cmd_generate(cfg, ws, task, STYLELESS, mode="inverse-para", trainable=trainable,
+                 variant=variant)
     cmd_evaluate(cfg, ws, task, STYLELESS, variant=variant, trainable=trainable)
     row = mx.read_report(ws.report_path(task, STYLELESS, variant))
     for style in cfg.styles:
@@ -321,63 +322,58 @@ def _op_level_checks(rng: np.random.Generator) -> float:
                       ag.Tensor(rng.uniform(-1, 1, size=(m, k)))),
     }
     for name, (f, w) in checks.items():
-        err = ag.grad_check(f, ag.Tensor(w.data.copy()), eps=1e-5)
+        err = ag.grad_check(f, ag.Tensor(w.data.copy()))
         print(f"gradcheck: op {name:14s} max_rel_err {err:.3e}")
         worst = max(worst, err)
     return worst
 
 
-def _decoder_step_check(rng: np.random.Generator, n_params: int = 20) -> float:
-    """Central differences on sampled weights of a full decoder-step loss."""
+# One whole tensor of each adapter kind and of each base group (enc, dec-self,
+# dec-catt, dec-other); enc.0.self.wq is a matmul weight.
+_DECODER_STEP_TENSORS = ("adapter.0.ln_g", "adapter.1.ln_b", "adapter.0.w_down",
+                         "adapter.1.w_up", "enc.0.self.wq", "dec.1.ln1.g",
+                         "dec.0.catt.bv", "dec.1.ffn.b1")
+
+
+def _decoder_step_check(rng: np.random.Generator) -> float:
+    """grad_check of a full decoder-step loss with respect to whole parameter tensors."""
     vocab = Vocab()
-    cfg = mdl.ModelConfig(vocab_size=len(vocab), d_model=16, n_heads=2, d_ffn=24,
-                          n_enc_layers=1, n_dec_layers=2, adapter_bottleneck=4,
-                          max_len=16, seed=int(rng.integers(0, 2**31)))
+    cfg = mdl.ModelConfig(vocab_size=len(vocab), d_model=8, n_heads=2, d_ffn=12,
+                          n_enc_layers=1, n_dec_layers=2, adapter_bottleneck=2,
+                          max_len=8, seed=int(rng.integers(0, 2**31)))
     model = mdl.build_model(cfg)
     adapters = mdl.fresh_adapters(cfg, "s1", seed=int(rng.integers(0, 2**31)))
     for layer in adapters.layers:
         layer["w_up"].data[:] = rng.normal(0, 0.3, size=layer["w_up"].shape)
     mdl.swap_adapters(model, adapters)
+    for _, t in model.named_parameters():
+        t.requires_grad = False
     src = rng.integers(4, len(vocab), size=(2, 5))
     dec_in = rng.integers(4, len(vocab), size=(2, 4))
     dec_tgt = rng.integers(4, len(vocab), size=(2, 4))
 
-    def loss_value() -> float:
-        enc = mdl.encode_batch(model, src, None)
-        logits = mdl.decode_logits_batch(model, enc, None, dec_in)
-        flat = ag.reshape(logits, (8, len(vocab)))
-        return ag.cross_entropy(flat, dec_tgt.ravel(), ignore_id=-1)
-
-    for _, t in model.named_parameters():
-        t.requires_grad = True
-        t.grad = None
-    loss = loss_value()
-    ag.backward(loss)
-
-    named = list(model.named_parameters())
-    adapter_named = [(n, t) for n, t in named if n.startswith("adapter.")]
-    base_named = [(n, t) for n, t in named if not n.startswith("adapter.")]
-    picks = [adapter_named[i] for i in rng.choice(len(adapter_named), 6, replace=False)]
-    picks += [base_named[i] for i in rng.choice(len(base_named), n_params - 6,
-                                                replace=False)]
-    eps = 1e-5
     worst = 0.0
-    with ag.no_grad():
-        for name, t in picks:
-            flat = t.data.reshape(-1)
-            idx = int(rng.integers(0, flat.size))
-            analytic = t.grad.reshape(-1)[idx] if t.grad is not None else 0.0
-            orig = flat[idx]
-            flat[idx] = orig + eps
-            hi = loss_value().item()
-            flat[idx] = orig - eps
-            lo = loss_value().item()
-            flat[idx] = orig
-            numeric = (hi - lo) / (2 * eps)
-            err = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-8)
-            worst = max(worst, err)
-    print(f"gradcheck: decoder-step loss over {n_params} sampled weights "
-          f"max_rel_err {worst:.3e}")
+    for name in _DECODER_STEP_TENSORS:
+        if name.startswith("adapter."):
+            _, i, key = name.split(".")
+            slots = adapters.layers[int(i)]
+        else:
+            slots, key = model.params, name
+        original = slots[key]
+
+        def loss(probe: ag.Tensor) -> ag.Tensor:
+            slots[key] = probe
+            enc = mdl.encode_batch(model, src, None)
+            logits = mdl.decode_logits_batch(model, enc, None, dec_in)
+            return ag.cross_entropy(ag.reshape(logits, (8, len(vocab))), dec_tgt.ravel(),
+                                    ignore_id=-1)
+
+        try:
+            err = ag.grad_check(loss, original)
+        finally:
+            slots[key] = original
+        print(f"gradcheck: decoder-step {name:16s} max_rel_err {err:.3e}")
+        worst = max(worst, err)
     return worst
 
 
@@ -415,20 +411,18 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser("gen-data")
     p = sub.add_parser("train-adapter")
     p.add_argument("--style", required=True, choices=[STYLELESS, *STYLES])
-    p.add_argument("--mode", default="inverse-para",
-                   choices=["inverse-para", "denoise"])
+    p.add_argument("--mode", default="inverse-para", choices=MODES)
     p = sub.add_parser("train-task")
     p.add_argument("--task", required=True, choices=["headline", "story"])
-    p.add_argument("--trainable", default="enc",
-                   choices=["enc", "enc+catt", "enc+catt+dec"])
+    p.add_argument("--trainable", default="enc", choices=mdl.SELECTORS)
     p.add_argument("--fresh-s0", action="store_true",
                    help="use fresh identity adapters instead of trained s0")
     p = sub.add_parser("generate")
     p.add_argument("--task", required=True, choices=["headline", "story"])
     p.add_argument("--style", required=True, choices=[STYLELESS, *STYLES])
     p.add_argument("--beam", type=int, default=None)
-    p.add_argument("--mode", default=None, choices=["inverse-para", "denoise"])
-    p.add_argument("--trainable", default=None)
+    p.add_argument("--mode", default=None, choices=MODES)
+    p.add_argument("--trainable", default=None, choices=mdl.SELECTORS)
     p.add_argument("--input", type=Path, default=None)
     p.add_argument("--output", type=Path, default=None)
     p = sub.add_parser("evaluate")
@@ -443,21 +437,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_config(args) -> RunConfig:
-    if args.config is not None:
-        cfg = load_config(args.config)
-        if args.preset is not None:
-            cfg = apply_preset(args.preset)
-    else:
-        cfg = apply_preset(args.preset or "toy")
-    overrides = {}
+    """Config file keys, then --set and --seed on top; --preset replaces any preset key."""
+    items = read_config_file(args.config) if args.config is not None else {}
     for item in args.set:
         if "=" not in item:
             raise CliError(f"--set expects KEY=VALUE, got {item!r}")
         key, _, value = item.partition("=")
-        overrides[key] = value
+        items[key] = value
     if args.seed is not None:
-        overrides["seed"] = str(args.seed)
-    return parse_overrides(cfg, overrides)
+        items["seed"] = str(args.seed)
+    return from_items(items, preset=args.preset)
 
 
 def main(argv=None) -> int:

@@ -23,12 +23,17 @@ from .model import Model, decode_logits_batch, encode_batch, swap_adapters
 @dataclass(frozen=True)
 class DecodeConfig:
     beam_size: int = 4
-    max_len: int = 32
+    max_out_len: int = 32
     length_penalty: float = 0.0  # 0 disables length normalization
 
     def __post_init__(self):
         if self.beam_size < 1:
             raise ValueError("beam_size must be >= 1")
+
+    @property
+    def max_len(self) -> int:
+        """Former name of `max_out_len`, still read by perfbench's decode trace."""
+        return self.max_out_len
 
 
 @dataclass
@@ -125,7 +130,7 @@ def greedy(model: Model, adapters, x: list[int], cfg: DecodeConfig,
            vocab: Vocab) -> DecodeResult:
     swap_adapters(model, adapters)
     tokens, score = greedy_core(model_step_fn(model, x, vocab), vocab.bos,
-                                vocab.eos, cfg.max_len)
+                                vocab.eos, cfg.max_out_len)
     return DecodeResult(tokens, score, adapters.style_id)
 
 
@@ -133,7 +138,7 @@ def beam_search(model: Model, adapters, x: list[int], cfg: DecodeConfig,
                 vocab: Vocab) -> DecodeResult:
     swap_adapters(model, adapters)
     tokens, score = beam_core(model_step_fn(model, x, vocab), vocab.bos, vocab.eos,
-                              cfg.max_len, cfg.beam_size, cfg.length_penalty)
+                              cfg.max_out_len, cfg.beam_size, cfg.length_penalty)
     return DecodeResult(tokens, score, adapters.style_id)
 
 

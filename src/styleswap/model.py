@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -46,7 +46,6 @@ class ModelConfig:
     adapter_bottleneck: int = 16
     max_len: int = 64
     seed: int = 0
-    dropout: float = 0.0
     ln_eps: float = 1e-5
 
     def __post_init__(self):
@@ -59,8 +58,9 @@ class ModelConfig:
             )
         if self.adapter_bottleneck < 1:
             raise ConfigError(f"adapter_bottleneck must be >= 1, got {self.adapter_bottleneck}")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ConfigError(f"dropout must be in [0, 1), got {self.dropout}")
+
+
+ADAPTER_KEYS = ("ln_g", "ln_b", "w_down", "w_up")
 
 
 @dataclass
@@ -73,7 +73,7 @@ class AdapterSet:
 
     def named(self):
         for i, layer in enumerate(self.layers):
-            for key in ("ln_g", "ln_b", "w_down", "w_up"):
+            for key in ADAPTER_KEYS:
                 yield f"adapter.{i}.{key}", layer[key]
 
 
@@ -111,7 +111,6 @@ class Model:
         self.groups = groups
         self.base_id = base_id
         self.adapters: AdapterSet | None = None
-        self.dropout_rng: np.random.Generator | None = None
         self.positions = sinusoidal_positions(config.max_len, config.d_model)
 
     def named_parameters(self):
@@ -199,14 +198,6 @@ def _linear(x2d: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return ag.add(ag.matmul(x2d, w), b)
 
 
-def _dropout(model: Model, x: Tensor) -> Tensor:
-    p = model.config.dropout
-    if p <= 0.0 or model.dropout_rng is None:
-        return x
-    keep = (model.dropout_rng.random(x.shape) >= p) / (1.0 - p)
-    return ag.mul(x, Tensor(keep))
-
-
 def _attention(model: Model, name: str, x_q: Tensor, x_kv: Tensor,
                mask: np.ndarray | None) -> Tensor:
     p = model.params
@@ -245,7 +236,7 @@ def _ffn(model: Model, name: str, x: Tensor) -> Tensor:
 
 def _residual_ln(model: Model, name: str, x: Tensor, sub: Tensor) -> Tensor:
     p = model.params
-    return ag.layer_norm(ag.add(x, _dropout(model, sub)), p[f"{name}.g"], p[f"{name}.b"],
+    return ag.layer_norm(ag.add(x, sub), p[f"{name}.g"], p[f"{name}.b"],
                          model.config.ln_eps)
 
 
@@ -268,8 +259,7 @@ def causal_attention_mask(length: int) -> np.ndarray:
     return mask.reshape(1, 1, length, length)
 
 
-def adapter_forward(z: Tensor, adapters: AdapterSet, layer: int,
-                    eps: float = 1e-5) -> Tensor:
+def adapter_forward(z: Tensor, adapters: AdapterSet, layer: int, eps: float) -> Tensor:
     """Bottleneck adapter: up(relu(down(LN(z)))) + z."""
     if adapters is None or layer >= len(adapters.layers):
         raise AdapterError(f"no adapter available for decoder layer {layer}")
@@ -315,32 +305,6 @@ def decode_logits_batch(model: Model, enc_states: Tensor, src_mask: np.ndarray |
     return ag.reshape(logits, (bsz, t, v))
 
 
-# ---------------------------------------------------------------------------
-# single-sequence surface
-
-
-def _check_len(model: Model, n: int, what: str):
-    if n < 1:
-        raise ValueError(f"{what} must be non-empty")
-    if n > model.config.max_len:
-        raise ValueError(f"{what} length {n} exceeds max_len {model.config.max_len}")
-
-
-def encode(model: Model, tokens: list[int]) -> Tensor:
-    """Encoder states [L, d_model] for one sequence."""
-    _check_len(model, len(tokens), "encoder input")
-    out = encode_batch(model, np.asarray([tokens], dtype=np.int64), None)
-    return ag.reshape(out, out.shape[1:])
-
-
-def decode_step(model: Model, enc_states: Tensor, prefix: list[int]) -> Tensor:
-    """Logits [T, V] over the prefix, through the installed adapters."""
-    _check_len(model, len(prefix), "decoder prefix")
-    enc3 = ag.reshape(enc_states, (1,) + enc_states.shape)
-    out = decode_logits_batch(model, enc3, None, np.asarray([prefix], dtype=np.int64))
-    return ag.reshape(out, out.shape[1:])
-
-
 def swap_adapters(model: Model, adapters: AdapterSet) -> Model:
     """Install a style's adapters; the base registry is untouched."""
     cfg = model.config
@@ -348,17 +312,18 @@ def swap_adapters(model: Model, adapters: AdapterSet) -> Model:
         raise AdapterError(
             f"adapter set has {len(adapters.layers)} layers, model has {cfg.n_dec_layers}"
         )
-    want = (cfg.d_model, cfg.adapter_bottleneck)
-    for i, layer in enumerate(adapters.layers):
-        if layer["w_down"].shape != want or layer["w_up"].shape != want[::-1]:
-            raise AdapterError(
-                f"adapter layer {i} shaped {layer['w_down'].shape}, expected {want}"
-            )
+    h, b = cfg.d_model, cfg.adapter_bottleneck
+    want = {"ln_g": (h,), "ln_b": (h,), "w_down": (h, b), "w_up": (b, h)}
+    for name, t in adapters.named():
+        kind = name.rsplit(".", 1)[1]
+        if t.shape != want[kind]:
+            raise AdapterError(f"{name} shaped {t.shape}, expected {want[kind]}")
     model.adapters = adapters
     return model
 
 
-_SELECTORS = {
+# Stage-2 trainable selectors and the base groups each one trains.
+SELECTORS = {
     "enc": ("enc",),
     "enc+catt": ("enc", "dec-catt"),
     "enc+catt+dec": ("enc", "dec-catt", "dec-self", "dec-other"),
@@ -371,7 +336,7 @@ def param_group(model: Model, selector: str) -> list[tuple[str, Tensor]]:
         if model.adapters is None:
             raise AdapterError("no adapter set installed")
         return list(model.adapters.named())
-    if selector not in _SELECTORS:
+    if selector not in SELECTORS:
         raise ValueError(f"unknown parameter selector: {selector!r}")
-    wanted = _SELECTORS[selector]
+    wanted = SELECTORS[selector]
     return [(n, t) for n, t in model.params.items() if model.groups[n] in wanted]

@@ -12,6 +12,14 @@ carried unchanged through fine-tuning and checkpoint round-trips. Loading
 an adapter onto a base with a different lineage is a hard error; loading
 onto any descendant of its own base (e.g. the task fine-tuned model) is
 the intended swap path.
+
+Loading checks the header and every record against the model config it
+describes. A missing header key, a config key unknown to ModelConfig or
+a ModelConfig field absent from the header, a missing or extra record, or
+a record of the wrong shape is a StoreError naming the file and the key
+or record. Adding or removing
+a ModelConfig field changes every lineage fingerprint, and checkpoints
+written before it no longer load: rebuild them.
 """
 
 from __future__ import annotations
@@ -19,13 +27,14 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 import numpy as np
 
 from .autograd import Tensor
-from .model import AdapterSet, Model, ModelConfig, build_model, swap_adapters
+from .model import (ADAPTER_KEYS, AdapterError, AdapterSet, Model, ModelConfig,
+                    build_model, swap_adapters)
 
 CKPT_MAGIC = b"SSWP"
 ADAPTER_MAGIC = b"SSWA"
@@ -69,7 +78,7 @@ def _write(path: Path, magic: bytes, header: dict, named) -> None:
 
 
 class _Reader:
-    def __init__(self, path: Path, magic: bytes):
+    def __init__(self, path: Path, magic: bytes, header_keys: tuple[str, ...]):
         raw = Path(path).read_bytes()
         if len(raw) < 48:
             raise StoreError(f"{path}: truncated file")
@@ -83,6 +92,9 @@ class _Reader:
             raise StoreError(f"{path}: unsupported format version {version}")
         (header_len,) = struct.unpack_from("<I", body, 8)
         self.header = json.loads(body[12 : 12 + header_len])
+        missing = [key for key in header_keys if key not in self.header]
+        if missing:
+            raise StoreError(f"{path}: header lacks {missing}")
         self._buf = body
         self._pos = 12 + header_len
         self.path = path
@@ -120,17 +132,31 @@ def save_checkpoint(model: Model, path: Path) -> None:
     _write(path, CKPT_MAGIC, header, [(n, t.data) for n, t in model.params.items()])
 
 
+def _check_names(path: Path, what: str, stored: dict, expected) -> None:
+    missing = sorted(set(expected) - set(stored))
+    if missing:
+        raise StoreError(f"{path}: missing {what} record {missing[0]!r}")
+    extra = sorted(set(stored) - set(expected))
+    if extra:
+        raise StoreError(f"{path}: unexpected {what} record {extra[0]!r}")
+
+
 def load_checkpoint(path: Path) -> Model:
-    reader = _Reader(path, CKPT_MAGIC)
+    reader = _Reader(path, CKPT_MAGIC, ("config", "base_id"))
+    keys = set(reader.header["config"])
+    known = {f.name for f in fields(ModelConfig)}
+    if keys != known:
+        raise StoreError(f"{path}: model config keys differ from this version "
+                         f"(unknown {sorted(keys - known)}, missing {sorted(known - keys)}); "
+                         "rebuild the file")
     config = ModelConfig(**reader.header["config"])
     stored = reader.records()
     model = build_model(config)
-    missing = set(model.params) - set(stored)
-    extra = set(stored) - set(model.params)
-    if missing or extra:
-        raise StoreError(f"{path}: parameter names do not match config "
-                         f"(missing {sorted(missing)[:3]}, extra {sorted(extra)[:3]})")
+    _check_names(path, "parameter", stored, model.params)
     for name, arr in stored.items():
+        want = model.params[name].shape
+        if arr.shape != want:
+            raise StoreError(f"{path}: record {name!r} shaped {arr.shape}, expected {want}")
         model.params[name].data[:] = arr
     model.base_id = reader.header["base_id"]
     return model
@@ -157,21 +183,21 @@ def save_adapter(adapters: AdapterSet, base_id: str, path: Path) -> None:
 
 def load_adapter(path: Path, model: Model) -> AdapterSet:
     """Read an adapter file and install it via swap; base parameters untouched."""
-    reader = _Reader(path, ADAPTER_MAGIC)
+    reader = _Reader(path, ADAPTER_MAGIC, ("base_id", "style_id", "mode"))
     if reader.header["base_id"] != model.base_id:
         raise FingerprintMismatch(
             f"{path}: adapter was trained against base {reader.header['base_id'][:12]}..., "
             f"model is {model.base_id[:12]}...")
     stored = reader.records()
-    n_layers = model.config.n_dec_layers
-    layers = []
-    for i in range(n_layers):
-        try:
-            layers.append({key: Tensor(stored[f"adapter.{i}.{key}"])
-                           for key in ("ln_g", "ln_b", "w_down", "w_up")})
-        except KeyError as exc:
-            raise StoreError(f"{path}: missing adapter record {exc.args[0]!r}") from None
-    adapters = AdapterSet(style_id=reader.header["style_id"],
-                          mode=reader.header["mode"], layers=layers)
-    swap_adapters(model, adapters)
+    layers = range(model.config.n_dec_layers)
+    _check_names(path, "adapter", stored,
+                 [f"adapter.{i}.{key}" for i in layers for key in ADAPTER_KEYS])
+    adapters = AdapterSet(
+        style_id=reader.header["style_id"], mode=reader.header["mode"],
+        layers=[{key: Tensor(stored[f"adapter.{i}.{key}"]) for key in ADAPTER_KEYS}
+                for i in layers])
+    try:
+        swap_adapters(model, adapters)
+    except AdapterError as exc:
+        raise StoreError(f"{path}: record {exc}") from None
     return adapters

@@ -14,7 +14,7 @@ byte-identical afterwards. Batch order is fixed by the stage seed.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -24,49 +24,6 @@ from .autograd import Tensor
 from .data import Vocab, child_seed, read_corpus
 from .model import (AdapterError, Model, decode_logits_batch, encode_batch,
                     fresh_adapters, pad_attention_mask, param_group, swap_adapters)
-
-
-class AdamW:
-    """Decoupled-weight-decay Adam with bias correction.
-
-    Moment buffers exist only for the named parameters handed in, i.e. the
-    stage's trainable set.
-    """
-
-    def __init__(self, named_params, lr: float, beta1: float = 0.9, beta2: float = 0.999,
-                 eps: float = 1e-8, weight_decay: float = 0.0):
-        self.named_params = list(named_params)
-        self.lr = lr
-        self.beta1, self.beta2 = beta1, beta2
-        self.eps = eps
-        self.weight_decay = weight_decay
-        self.step_count = 0
-        self.moments = {
-            name: (np.zeros_like(t.data), np.zeros_like(t.data))
-            for name, t in self.named_params
-        }
-
-    def step(self) -> None:
-        self.step_count += 1
-        b1, b2 = self.beta1, self.beta2
-        bc1 = 1.0 - b1 ** self.step_count
-        bc2 = 1.0 - b2 ** self.step_count
-        for name, t in self.named_params:
-            if t.grad is None:
-                raise ValueError(f"adamw: trainable parameter {name!r} has no gradient")
-            g = t.grad
-            m, v = self.moments[name]
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * (g * g)
-            if self.weight_decay:
-                t.data *= 1.0 - self.lr * self.weight_decay
-            t.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-
-    def zero_grad(self) -> None:
-        for _, t in self.named_params:
-            t.grad = None
 
 
 @dataclass(frozen=True)
@@ -81,6 +38,46 @@ class Hyper:
     weight_decay: float = 0.0
     seed: int = 0
     log_path: Path | None = None
+
+
+class AdamW:
+    """Decoupled-weight-decay Adam with bias correction, set by a stage's Hyper.
+
+    Moment buffers exist only for the named parameters handed in, i.e. the
+    stage's trainable set.
+    """
+
+    def __init__(self, named_params, hp: Hyper):
+        self.named_params = list(named_params)
+        self.hp = hp
+        self.step_count = 0
+        self.moments = {
+            name: (np.zeros_like(t.data), np.zeros_like(t.data))
+            for name, t in self.named_params
+        }
+
+    def step(self) -> None:
+        hp = self.hp
+        self.step_count += 1
+        b1, b2 = hp.beta1, hp.beta2
+        bc1 = 1.0 - b1 ** self.step_count
+        bc2 = 1.0 - b2 ** self.step_count
+        for name, t in self.named_params:
+            if t.grad is None:
+                raise ValueError(f"adamw: trainable parameter {name!r} has no gradient")
+            g = t.grad
+            m, v = self.moments[name]
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * (g * g)
+            if hp.weight_decay:
+                t.data *= 1.0 - hp.lr * hp.weight_decay
+            t.data -= hp.lr * (m / bc1) / (np.sqrt(v / bc2) + hp.adam_eps)
+
+    def zero_grad(self) -> None:
+        for _, t in self.named_params:
+            t.grad = None
 
 
 @dataclass
@@ -154,8 +151,7 @@ def train_on_pairs(model: Model, vocab: Vocab, trainable, splits: "PairSplits",
                    hp: Hyper) -> StageResult:
     """Epoch loop with per-epoch validation and patience-based early stop."""
     live = set_trainable(model, trainable)
-    opt = AdamW(live, lr=hp.lr, beta1=hp.beta1, beta2=hp.beta2,
-                eps=hp.adam_eps, weight_decay=hp.weight_decay)
+    opt = AdamW(live, hp)
     rng = np.random.default_rng(child_seed(hp.seed, "batch-order"))
     result = StageResult()
     log = open(hp.log_path, "w", encoding="utf-8") if hp.log_path else None
@@ -253,53 +249,10 @@ def train_style_adapter(model: Model, vocab: Vocab, style_id: str, mode: str,
     return adapters, result
 
 
-def train_stylefree_adapter(model: Model, vocab: Vocab, splits: PairSplits, hp: Hyper):
-    """Stage 1 for s0: identical recipe on the undecorated corpus."""
-    return train_style_adapter(model, vocab, "s0", "inverse-para", splits, hp)
-
-
 def train_task(model: Model, vocab: Vocab, adapters, splits: PairSplits,
-               task_kind: str, trainable: str, hp: Hyper) -> StageResult:
+               trainable: str, hp: Hyper) -> StageResult:
     """Stage 2: fit the selected base group with the s0 adapters frozen in."""
     if adapters is None:
         raise AdapterError("task fine-tuning requires the style-less adapters")
     swap_adapters(model, adapters)
     return train_on_pairs(model, vocab, param_group(model, trainable), splits, hp)
-
-
-def run_pipeline(model: Model, vocab: Vocab, data_dir: Path, hp: Hyper, *,
-                 styles=("s1", "s2", "s3"), tasks=("headline", "story"),
-                 mode: str = "inverse-para", trainable: str = "enc",
-                 log_dir: Path | None = None):
-    """Stage 1 for s0 + all styles on one base, then stage 2 once per task.
-
-    Returns (adapters, task_models): the trained AdapterSets keyed by style,
-    and one fine-tuned copy of the base per task. Adapter training happens
-    once and its artifacts are shared by every task.
-    """
-    from .store import clone_model  # local import; store depends on model only
-
-    max_len = model.config.max_len
-
-    def stage_hp(label: str, epochs: int | None = None) -> Hyper:
-        path = (Path(log_dir) / f"{label}.jsonl") if log_dir else None
-        return replace(hp, seed=child_seed(hp.seed, label), log_path=path,
-                       **({"epochs": epochs} if epochs else {}))
-
-    adapters = {}
-    results = {}
-    for style_id in ("s0",) + tuple(styles):
-        style_mode = "inverse-para" if style_id == "s0" else mode
-        splits = load_style_pairs(data_dir, style_id, style_mode, vocab, max_len)
-        adapters[style_id], results[f"step1.{style_id}"] = train_style_adapter(
-            model, vocab, style_id, style_mode, splits, stage_hp(f"step1.{style_id}"))
-
-    task_models = {}
-    for task in tasks:
-        task_model = clone_model(model)
-        splits = load_task_pairs(data_dir, task, vocab, max_len)
-        results[f"step2.{task}"] = train_task(task_model, vocab, adapters["s0"],
-                                              splits, task, trainable,
-                                              stage_hp(f"step2.{task}"))
-        task_models[task] = task_model
-    return adapters, task_models, results

@@ -8,6 +8,8 @@ import pytest
 from styleswap import cli
 from styleswap import data as sd
 from styleswap import metrics as mx
+from styleswap import model as mdl
+from styleswap import store
 
 MICRO = ["--set", "n_task=120", "--set", "n_style=120",
          "--set", "step1_epochs=1", "--set", "step2_epochs=1",
@@ -56,6 +58,37 @@ class TestUsage:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_vocab_size_is_not_a_setting(self, tmp_path, capsys):
+        rc = cli.main(["--workdir", str(tmp_path), "--set", "vocab_size=100", "gen-data"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown config keys: ['vocab_size']")
+        assert len(err.splitlines()) == 1
+
+    def test_generate_rejects_unknown_trainable(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--workdir", str(tmp_path), "generate", "--task", "headline",
+                      "--style", "s0", "--trainable", "everything"])
+        assert exc.value.code == 2
+
+    def test_preset_flag_replaces_the_config_file_preset(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("preset=paper\nseed=5\nbeam_size=2\n")
+        args = cli._build_parser().parse_args(["--config", str(path), "--preset", "toy",
+                                               "gradcheck"])
+        cfg = cli._resolve_config(args)
+        assert cfg.preset == "toy" and cfg.model.adapter_bottleneck == 16
+        assert (cfg.seed, cfg.decode.beam_size) == (5, 2)
+
+    def test_set_keys_apply_together_with_the_config_file(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("d_model=30\n")  # valid only with the n_heads below
+        args = cli._build_parser().parse_args(["--config", str(path), "--set", "n_heads=3",
+                                               "--set", "preset=paper", "gradcheck"])
+        cfg = cli._resolve_config(args)
+        assert (cfg.model.d_model, cfg.model.n_heads) == (30, 3)
+        assert cfg.preset == "paper" and cfg.model.adapter_bottleneck == 64
+
 
 class TestGenData:
     def test_rerun_byte_identical(self, tmp_path):
@@ -81,6 +114,19 @@ class TestOrdering:
         rc = run(flow, "generate", "--task", "story", "--style", "s1")
         assert rc == 1
         assert "train-task" in capsys.readouterr().err
+
+    def test_checkpoint_from_older_version_is_one_line_error(self, tmp_path, capsys):
+        assert run(tmp_path, "gen-data") == 0
+        ws = cli.Workspace(tmp_path)
+        base = mdl.build_model(mdl.ModelConfig(seed=3))
+        header = {"kind": "checkpoint", "base_id": base.base_id,
+                  "config": dict(mdl.asdict(base.config), dropout=0.0)}
+        store._write(ws.base_init_path(), store.CKPT_MAGIC, header,
+                     [(n, t.data) for n, t in base.params.items()])
+        assert run(tmp_path, "train-adapter", "--style", "s0") == 1
+        err = capsys.readouterr().err
+        assert "model config keys differ from this version (unknown ['dropout']" in err
+        assert len(err.splitlines()) == 1
 
     def test_train_task_requires_s0_adapter(self, tmp_path, capsys):
         assert run(tmp_path, "gen-data") == 0
@@ -135,6 +181,24 @@ class TestPipelineMicro:
         for style in ("s0", "s1", "s2", "s3"):
             assert (ws / f"reports/headline.{style}.report.txt").exists()
         assert (ws / "config.txt").exists()
+
+    def test_artifact_counts_and_task_independence(self, tmp_path):
+        one, two = tmp_path / "one", tmp_path / "two"
+        assert run(one, "pipeline") == 0
+        assert run(two, "--set", "tasks=headline,story", "pipeline") == 0
+        # N styles + s0 adapters, M task bases
+        adapters = sorted(p.name for p in (two / "adapters").iterdir())
+        assert adapters == [f"{s}.inverse-para.adapter" for s in ("s0", "s1", "s2", "s3")]
+        assert sorted(p.name for p in (two / "models").iterdir()) == [
+            "base_headline.enc.ckpt", "base_init.ckpt", "base_story.enc.ckpt"]
+        # adapters are identical whether one or two tasks follow
+        for name in adapters:
+            assert (one / "adapters" / name).read_bytes() == (two / "adapters" / name).read_bytes()
+        # the two task models share lineage but differ in weights
+        headline = store.load_checkpoint(two / "models/base_headline.enc.ckpt")
+        story = store.load_checkpoint(two / "models/base_story.enc.ckpt")
+        assert headline.base_id == story.base_id
+        assert headline.base_bytes() != story.base_bytes()
 
     def test_ablate_grid_has_seven_rows(self, tmp_path):
         ws = tmp_path / "abl"

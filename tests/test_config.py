@@ -3,21 +3,37 @@
 import pytest
 
 from styleswap import config as rc
+from styleswap.data import Vocab
+from styleswap.model import ModelConfig
+
+# Every key and default of the flat key namespace before the config was split
+# into nested model, optimiser and decode configs (`dropout` and `vocab_size`
+# were removed then).
+KEYS_BEFORE_SPLIT = {
+    "preset": "toy", "d_model": 64, "n_heads": 4, "d_ffn": 128, "n_enc_layers": 2,
+    "n_dec_layers": 2, "adapter_bottleneck": 16, "max_len": 64, "seed": 0,
+    "n_task": 10000, "n_style": 10000, "mask_rate": 0.15, "delete_rate": 0.1,
+    "tasks": ("headline", "story"), "styles": ("s1", "s2", "s3"), "lr": 0.001,
+    "batch_size": 8, "beta1": 0.9, "beta2": 0.999, "adam_eps": 1e-08,
+    "weight_decay": 0.0, "step1_epochs": 5, "step2_epochs": 5, "patience": 2,
+    "mode": "inverse-para", "trainable": "enc", "beam_size": 4, "max_out_len": 32,
+    "length_penalty": 0.0, "lm_order": 2, "lm_k": 0.1,
+}
 
 
 class TestPresets:
     def test_toy_defaults(self):
         cfg = rc.apply_preset("toy")
-        assert cfg.adapter_bottleneck == 16
-        assert cfg.lr == 1e-3
+        assert cfg.model.adapter_bottleneck == 16
+        assert cfg.train.lr == 1e-3
         assert cfg.n_task == 10_000
 
     def test_paper_preset_pins_reference_values(self):
         cfg = rc.apply_preset("paper")
-        assert cfg.adapter_bottleneck == 64
-        assert cfg.lr == 5e-5
-        assert cfg.batch_size == 8
-        assert cfg.beam_size == 4
+        assert cfg.model.adapter_bottleneck == 64
+        assert cfg.train.lr == 5e-5
+        assert cfg.train.batch_size == 8
+        assert cfg.decode.beam_size == 4
 
     def test_unknown_preset(self):
         with pytest.raises(ValueError, match="preset"):
@@ -29,8 +45,8 @@ class TestConfigFile:
         path = tmp_path / "run.cfg"
         path.write_text("# comment\npreset=paper\nlr=0.002\ntasks=headline\n")
         cfg = rc.load_config(path)
-        assert cfg.adapter_bottleneck == 64  # from the paper preset
-        assert cfg.lr == 0.002  # overridden
+        assert cfg.model.adapter_bottleneck == 64  # from the paper preset
+        assert cfg.train.lr == 0.002  # overridden
         assert cfg.tasks == ("headline",)
 
     def test_unknown_key_rejected(self, tmp_path):
@@ -52,23 +68,45 @@ class TestConfigFile:
         assert rc.load_config(tmp_path / "out.cfg") == cfg
 
     def test_every_knob_has_a_default(self):
-        cfg = rc.RunConfig()
-        for field_name in rc._FIELD_TYPES:
-            assert getattr(cfg, field_name) is not None
+        for key, value in rc.flat_items(rc.RunConfig()).items():
+            assert value is not None, key
+
+    def test_keys_and_defaults_kept_through_the_split(self):
+        assert rc.flat_items(rc.apply_preset("toy")) == KEYS_BEFORE_SPLIT
+
+    def test_removed_keys_rejected(self):
+        for key in ("dropout", "vocab_size"):
+            with pytest.raises(ValueError, match="unknown config keys"):
+                rc.parse_overrides(rc.RunConfig(), {key: "1"})
+
+    def test_save_writes_every_key(self, tmp_path):
+        rc.save_config(rc.RunConfig(), tmp_path / "out.cfg")
+        lines = (tmp_path / "out.cfg").read_text().splitlines()
+        assert sorted(line.partition("=")[0] for line in lines) == sorted(KEYS_BEFORE_SPLIT)
 
 
 class TestDerivedConfigs:
     def test_model_config_fields(self):
         cfg = rc.apply_preset("toy")
         mc = cfg.model_config()
-        assert (mc.d_model, mc.adapter_bottleneck) == (cfg.d_model, 16)
+        assert (mc.d_model, mc.adapter_bottleneck) == (cfg.model.d_model, 16)
+
+    def test_model_config_matches_model_defaults(self):
+        for seed in (0, 3, 17):
+            cfg = rc.parse_overrides(rc.apply_preset("toy"), {"seed": str(seed)})
+            assert cfg.model_config() == ModelConfig(seed=seed)
+
+    def test_model_config_vocab_size_is_the_vocabulary(self):
+        assert rc.RunConfig().model_config().vocab_size == len(Vocab())
 
     def test_hyper_stage_overrides(self):
         cfg = rc.apply_preset("toy")
         hp = cfg.hyper(epochs=9, seed=42)
-        assert hp.epochs == 9 and hp.seed == 42 and hp.lr == cfg.lr
+        assert hp.epochs == 9 and hp.seed == 42 and hp.lr == cfg.train.lr
 
     def test_decode_config(self):
         cfg = rc.apply_preset("paper")
         assert cfg.decode_config().beam_size == 4
         assert cfg.decode_config(beam_size=2).beam_size == 2
+        with pytest.raises(ValueError, match="beam_size"):
+            cfg.decode_config(beam_size=0)

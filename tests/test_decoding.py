@@ -116,15 +116,15 @@ class TestModelDecoding:
     def test_beam1_equals_greedy_on_model(self, tiny_setup):
         vocab, model, adapters = tiny_setup
         x = [vocab.keywords[0], vocab.fillers[3], vocab.keywords[9]]
-        g = dec.greedy(model, adapters, x, dec.DecodeConfig(max_len=8), vocab)
-        b = dec.beam_search(model, adapters, x, dec.DecodeConfig(beam_size=1, max_len=8), vocab)
+        g = dec.greedy(model, adapters, x, dec.DecodeConfig(max_out_len=8), vocab)
+        b = dec.beam_search(model, adapters, x, dec.DecodeConfig(beam_size=1, max_out_len=8), vocab)
         assert g.tokens == b.tokens
         assert np.isclose(g.score, b.score)
 
     def test_deterministic_across_calls(self, tiny_setup):
         vocab, model, adapters = tiny_setup
         x = [vocab.keywords[5], vocab.keywords[6]]
-        cfg = dec.DecodeConfig(beam_size=4, max_len=8)
+        cfg = dec.DecodeConfig(beam_size=4, max_out_len=8)
         a = dec.beam_search(model, adapters, x, cfg, vocab)
         b = dec.beam_search(model, adapters, x, cfg, vocab)
         assert a.tokens == b.tokens and a.score == b.score
@@ -132,7 +132,7 @@ class TestModelDecoding:
     def test_result_contains_no_specials(self, tiny_setup):
         vocab, model, adapters = tiny_setup
         res = dec.beam_search(model, adapters, [vocab.keywords[1]],
-                              dec.DecodeConfig(beam_size=3, max_len=10), vocab)
+                              dec.DecodeConfig(beam_size=3, max_out_len=10), vocab)
         assert vocab.pad not in res.tokens
         assert vocab.bos not in res.tokens
         assert vocab.eos not in res.tokens
@@ -142,7 +142,7 @@ class TestModelDecoding:
     def test_score_is_sum_of_step_logprobs(self, tiny_setup):
         vocab, model, adapters = tiny_setup
         x = [vocab.keywords[2], vocab.fillers[1]]
-        res = dec.beam_search(model, adapters, x, dec.DecodeConfig(beam_size=4, max_len=8), vocab)
+        res = dec.beam_search(model, adapters, x, dec.DecodeConfig(beam_size=4, max_out_len=8), vocab)
         step = dec.model_step_fn(model, x, vocab)
         prefix, total = [vocab.bos], 0.0
         for tok in res.tokens + [vocab.eos]:
@@ -160,7 +160,7 @@ class TestGenerateBatch:
         store.save_adapter(adapters, model.base_id, tmp_path / "a.adapter")
         (tmp_path / "in.txt").write_text("")
         dec.generate_batch(model, tmp_path / "a.adapter", tmp_path / "in.txt",
-                           tmp_path / "out.txt", dec.DecodeConfig(max_len=6), vocab)
+                           tmp_path / "out.txt", dec.DecodeConfig(max_out_len=6), vocab)
         assert (tmp_path / "out.txt").read_text() == ""
 
     def test_order_preserving_and_rerun_identical(self, tiny_setup, tmp_path):
@@ -168,7 +168,7 @@ class TestGenerateBatch:
         store.save_adapter(adapters, model.base_id, tmp_path / "a.adapter")
         lines = ["k00 f01 k02", "k03 k04", "k05 f00 f01 k06"]
         (tmp_path / "in.txt").write_text("\n".join(lines) + "\n")
-        cfg = dec.DecodeConfig(beam_size=2, max_len=6)
+        cfg = dec.DecodeConfig(beam_size=2, max_out_len=6)
         res1 = dec.generate_batch(model, tmp_path / "a.adapter", tmp_path / "in.txt",
                                   tmp_path / "out1.txt", cfg, vocab,
                                   scores_file=tmp_path / "s1.txt")
@@ -179,10 +179,19 @@ class TestGenerateBatch:
         assert (tmp_path / "out1.txt").read_bytes() == (tmp_path / "out2.txt").read_bytes()
         assert (tmp_path / "s1.txt").read_bytes() == (tmp_path / "s2.txt").read_bytes()
 
+    def test_overlong_input_error(self, tiny_setup, tmp_path):
+        vocab, model, adapters = tiny_setup
+        store.save_adapter(adapters, model.base_id, tmp_path / "a.adapter")
+        too_long = " ".join(["k00"] * (model.config.max_len + 1))
+        (tmp_path / "in.txt").write_text("k00 k01\n" + too_long + "\n")
+        with pytest.raises(ValueError, match=r"in.txt:2: .*max_len"):
+            dec.generate_batch(model, tmp_path / "a.adapter", tmp_path / "in.txt",
+                               tmp_path / "out.txt", dec.DecodeConfig(max_out_len=4), vocab)
+
     def test_unknown_token_error_names_line(self, tiny_setup, tmp_path):
         vocab, model, adapters = tiny_setup
         store.save_adapter(adapters, model.base_id, tmp_path / "a.adapter")
         (tmp_path / "in.txt").write_text("k00\nnot-a-token\n")
         with pytest.raises(ValueError, match="in.txt:2"):
             dec.generate_batch(model, tmp_path / "a.adapter", tmp_path / "in.txt",
-                               tmp_path / "out.txt", dec.DecodeConfig(max_len=4), vocab)
+                               tmp_path / "out.txt", dec.DecodeConfig(max_out_len=4), vocab)

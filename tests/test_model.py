@@ -17,6 +17,16 @@ def tiny_config(**over):
     return mdl.ModelConfig(**base)
 
 
+def encode1(model, tokens):
+    """Encoder states [1, L, d_model] of one sequence."""
+    return mdl.encode_batch(model, np.asarray([tokens]), None)
+
+
+def decode1(model, enc, prefix):
+    """Logits [T, V] over one prefix, through the installed adapters."""
+    return mdl.decode_logits_batch(model, enc, None, np.asarray([prefix])).data[0]
+
+
 def random_adapters(config, seed=0, scale=0.3):
     """Fresh adapters with the up-projection randomized (non-identity)."""
     rng = np.random.default_rng(seed)
@@ -145,7 +155,7 @@ class TestAdapterForward:
         cfg = tiny_config()
         adapters = mdl.fresh_adapters(cfg, "s1", seed=3)
         z = ag.Tensor(np.random.default_rng(0).normal(size=(4, cfg.d_model)))
-        out = mdl.adapter_forward(z, adapters, 0)
+        out = mdl.adapter_forward(z, adapters, 0, cfg.ln_eps)
         assert np.array_equal(out.data, z.data)
 
     def test_hand_case(self):
@@ -165,30 +175,25 @@ class TestAdapterForward:
         adapters = random_adapters(cfg)
         for shape in [(cfg.d_model,), (3, cfg.d_model), (2, 5, cfg.d_model)]:
             z = ag.Tensor(np.random.default_rng(1).normal(size=shape))
-            assert mdl.adapter_forward(z, adapters, 1).shape == shape
+            assert mdl.adapter_forward(z, adapters, 1, cfg.ln_eps).shape == shape
 
     def test_missing_layer_error(self):
         cfg = tiny_config()
         adapters = mdl.fresh_adapters(cfg, "s1")
         with pytest.raises(mdl.AdapterError):
-            mdl.adapter_forward(ag.Tensor(np.zeros(cfg.d_model)), adapters, 99)
+            mdl.adapter_forward(ag.Tensor(np.zeros(cfg.d_model)), adapters, 99, cfg.ln_eps)
 
 
 class TestEncode:
     def test_l1_edge(self):
         m = mdl.build_model(tiny_config())
-        out = mdl.encode(m, [4])
-        assert out.shape == (1, m.config.d_model)
-
-    def test_overlong_input_error(self):
-        m = mdl.build_model(tiny_config(max_len=4))
-        with pytest.raises(ValueError, match="max_len"):
-            mdl.encode(m, [1] * 5)
+        out = encode1(m, [4])
+        assert out.shape == (1, 1, m.config.d_model)
 
     def test_permutation_sensitivity(self):
         m = mdl.build_model(tiny_config())
-        a = mdl.encode(m, [1, 2, 3, 4]).data
-        b = mdl.encode(m, [1, 3, 2, 4]).data
+        a = encode1(m, [1, 2, 3, 4]).data[0]
+        b = encode1(m, [1, 3, 2, 4]).data[0]
         assert not np.allclose(a[1], b[1])
         assert not np.allclose(a[2], b[2])
 
@@ -199,7 +204,7 @@ class TestEncode:
             if ".self." in name or ".ffn." in name:
                 t.data[:] = 0.0
         tokens = [3, 7, 1]
-        got = mdl.encode(m, tokens).data
+        got = encode1(m, tokens).data[0]
 
         pos = oracle_positions(cfg.max_len, cfg.d_model)
         x = m.params["emb.tok"].data[tokens] * math.sqrt(cfg.d_model) + pos[:3]
@@ -214,16 +219,16 @@ class TestEncode:
 class TestDecodeStep:
     def test_requires_adapters(self):
         m = mdl.build_model(tiny_config())
-        enc = mdl.encode(m, [1, 2])
+        enc = encode1(m, [1, 2])
         with pytest.raises(mdl.AdapterError):
-            mdl.decode_step(m, enc, [1])
+            decode1(m, enc, [1])
 
     def test_causal_mask(self):
         m = mdl.build_model(tiny_config())
         mdl.swap_adapters(m, random_adapters(m.config))
-        enc = mdl.encode(m, [1, 2, 3])
-        a = mdl.decode_step(m, enc, [1, 2, 3, 4]).data
-        b = mdl.decode_step(m, enc, [1, 2, 9, 9]).data
+        enc = encode1(m, [1, 2, 3])
+        a = decode1(m, enc, [1, 2, 3, 4])
+        b = decode1(m, enc, [1, 2, 9, 9])
         assert np.array_equal(a[:2], b[:2])
         assert not np.allclose(a[2:], b[2:])
 
@@ -248,7 +253,7 @@ class TestDecodeStep:
         mdl.swap_adapters(m, adapters)
         src = [1, 3, 2]
         prefix = [4, 0]
-        got = mdl.decode_step(m, mdl.encode(m, src), prefix).data
+        got = decode1(m, encode1(m, src), prefix)
         want = oracle_forward(m, adapters, src, prefix)
         assert got.shape == (2, 5)
         assert np.allclose(got, want, atol=1e-9)
@@ -259,13 +264,13 @@ class TestSwapAdapters:
         m = mdl.build_model(tiny_config())
         s0 = mdl.fresh_adapters(m.config, "s0", seed=1)
         s1 = random_adapters(m.config, seed=2)
-        enc = mdl.encode(m, [1, 2, 3])
+        enc = encode1(m, [1, 2, 3])
         mdl.swap_adapters(m, s0)
-        first = mdl.decode_step(m, enc, [1, 2]).data
+        first = decode1(m, enc, [1, 2])
         mdl.swap_adapters(m, s1)
-        styled = mdl.decode_step(m, enc, [1, 2]).data
+        styled = decode1(m, enc, [1, 2])
         mdl.swap_adapters(m, s0)
-        again = mdl.decode_step(m, enc, [1, 2]).data
+        again = decode1(m, enc, [1, 2])
         assert np.array_equal(first, again)
         assert not np.allclose(first, styled)
 

@@ -16,6 +16,11 @@ def small_config(**over):
     return mdl.ModelConfig(**base)
 
 
+def logits(model, src, prefix):
+    enc = mdl.encode_batch(model, np.asarray([src]), None)
+    return mdl.decode_logits_batch(model, enc, None, np.asarray([prefix])).data
+
+
 def toy_config():
     return mdl.ModelConfig()  # the full-size defaults
 
@@ -50,8 +55,8 @@ class TestCheckpoint:
         for _ in range(5):
             src = list(rng.integers(1, 30, size=4))
             prefix = list(rng.integers(1, 30, size=3))
-            a = mdl.decode_step(model, mdl.encode(model, src), prefix).data
-            b = mdl.decode_step(back, mdl.encode(back, src), prefix).data
+            a = logits(model, src, prefix)
+            b = logits(back, src, prefix)
             assert np.max(np.abs(a - b)) < 1e-5
 
     def test_corrupt_byte_detected(self, tmp_path):
@@ -85,6 +90,49 @@ class TestCheckpoint:
                   "base_id": model.base_id}
         store._write(tmp_path / "m.ckpt", store.CKPT_MAGIC, header, named[:-1])
         with pytest.raises(store.StoreError, match="missing"):
+            store.load_checkpoint(tmp_path / "m.ckpt")
+
+    def test_wrong_record_shape_detected(self, tmp_path):
+        model = mdl.build_model(small_config())
+        named = [(n, np.zeros(1) if n == "enc.0.ffn.b2" else t.data)
+                 for n, t in model.params.items()]
+        header = {"kind": "checkpoint", "config": mdl.asdict(model.config),
+                  "base_id": model.base_id}
+        path = tmp_path / "m.ckpt"
+        store._write(path, store.CKPT_MAGIC, header, named)
+        with pytest.raises(store.StoreError, match=r"m\.ckpt: record 'enc\.0\.ffn\.b2' shaped"):
+            store.load_checkpoint(path)
+
+    def test_extra_parameter_name_detected(self, tmp_path):
+        model = mdl.build_model(small_config())
+        named = [(n, t.data) for n, t in model.params.items()] + [("enc.9.x", np.ones(2))]
+        header = {"kind": "checkpoint", "config": mdl.asdict(model.config),
+                  "base_id": model.base_id}
+        store._write(tmp_path / "m.ckpt", store.CKPT_MAGIC, header, named)
+        with pytest.raises(store.StoreError, match="unexpected parameter record 'enc.9.x'"):
+            store.load_checkpoint(tmp_path / "m.ckpt")
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda c: c.update(dropout=0.0), r"unknown \['dropout'\], missing \[\]"),
+        (lambda c: c.pop("seed"), r"unknown \[\], missing \['seed'\]"),
+    ])
+    def test_config_keys_must_match(self, tmp_path, edit, message):
+        model = mdl.build_model(small_config())
+        config = mdl.asdict(model.config)
+        edit(config)
+        header = {"kind": "checkpoint", "config": config, "base_id": model.base_id}
+        path = tmp_path / "old.ckpt"
+        store._write(path, store.CKPT_MAGIC, header,
+                     [(n, t.data) for n, t in model.params.items()])
+        with pytest.raises(store.StoreError, match=r"old\.ckpt: model config keys differ .*" + message):
+            store.load_checkpoint(path)
+
+    def test_header_without_base_id_detected(self, tmp_path):
+        model = mdl.build_model(small_config())
+        header = {"kind": "checkpoint", "config": mdl.asdict(model.config)}
+        store._write(tmp_path / "m.ckpt", store.CKPT_MAGIC, header,
+                     [(n, t.data) for n, t in model.params.items()])
+        with pytest.raises(store.StoreError, match=r"m\.ckpt: header lacks \['base_id'\]"):
             store.load_checkpoint(tmp_path / "m.ckpt")
 
     def test_lineage_survives_training_and_roundtrip(self, tmp_path):
@@ -144,6 +192,29 @@ class TestAdapterFiles:
         store._write(tmp_path / "bad.adapter", store.ADAPTER_MAGIC, header,
                      [(n, t.data) for n, t in named])
         with pytest.raises(store.StoreError, match="missing adapter record"):
+            store.load_adapter(tmp_path / "bad.adapter", model)
+
+    @pytest.mark.parametrize("record", ["adapter.0.ln_g", "adapter.1.ln_b",
+                                        "adapter.0.w_down", "adapter.1.w_up"])
+    def test_wrong_record_shape_detected(self, tmp_path, record):
+        model = mdl.build_model(small_config())
+        adapters = mdl.fresh_adapters(model.config, "s1")
+        named = [(n, np.zeros(3) if n == record else t.data) for n, t in adapters.named()]
+        header = {"kind": "adapter", "style_id": "s1", "mode": "fresh",
+                  "base_id": model.base_id}
+        store._write(tmp_path / "bad.adapter", store.ADAPTER_MAGIC, header, named)
+        with pytest.raises(store.StoreError, match=rf"bad\.adapter: record {record} shaped"):
+            store.load_adapter(tmp_path / "bad.adapter", model)
+        assert model.adapters is None
+
+    def test_extra_record_detected(self, tmp_path):
+        model = mdl.build_model(small_config())
+        adapters = mdl.fresh_adapters(small_config(n_dec_layers=3), "s1")
+        header = {"kind": "adapter", "style_id": "s1", "mode": "fresh",
+                  "base_id": model.base_id}
+        store._write(tmp_path / "bad.adapter", store.ADAPTER_MAGIC, header,
+                     [(n, t.data) for n, t in adapters.named()])
+        with pytest.raises(store.StoreError, match="unexpected adapter record 'adapter.2"):
             store.load_adapter(tmp_path / "bad.adapter", model)
 
     def test_wrong_magic_rejected(self, tmp_path):
