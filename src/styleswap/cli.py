@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import sys
 import time
 from pathlib import Path
@@ -80,6 +81,32 @@ class Workspace:
 def _require_data(ws: Workspace):
     if not (ws.data / "manifest.json").exists():
         raise CliError(f"no corpora under {ws.data}; run gen-data first")
+
+
+def ensure_data(cfg: RunConfig, ws: Workspace) -> None:
+    """Generate the corpora, or check that the workdir's were made with cfg's settings."""
+    path = ws.data / "manifest.json"
+    if not path.exists():
+        cmd_gen_data(cfg, ws)
+        return
+    try:
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        have = {"seed": manifest["seed"], "n_task": manifest["sizes"]["task"],
+                "n_style": manifest["sizes"]["style"],
+                "mask_rate": manifest["noise"]["mask_rate"],
+                "delete_rate": manifest["noise"]["delete_rate"],
+                "tasks": sorted(k[len("task_"):] for k in manifest["splits"]
+                                if k.startswith("task_"))}
+    except (KeyError, TypeError) as exc:
+        raise CliError(f"{path}: malformed manifest ({exc!r})") from None
+    want = {"seed": cfg.seed, "n_task": cfg.n_task, "n_style": cfg.n_style,
+            "mask_rate": cfg.mask_rate, "delete_rate": cfg.delete_rate,
+            "tasks": sorted(cfg.tasks)}
+    differ = [f"{key} {have[key]!r} (data) vs {want[key]!r} (config)"
+              for key in want if have[key] != want[key]]
+    if differ:
+        raise CliError(f"{path} was generated with different settings: {', '.join(differ)}; "
+                       "use a fresh workdir or matching flags")
 
 
 def ensure_base(cfg: RunConfig, ws: Workspace) -> mdl.Model:
@@ -229,9 +256,8 @@ def cmd_pipeline(cfg: RunConfig, ws: Workspace) -> int:
     """Steps 1-3 end to end, then a MetricsReport per (task, style)."""
     started = time.time()
     ws.ensure_dirs()
+    ensure_data(cfg, ws)
     save_config(cfg, ws.root / "config.txt")
-    if not (ws.data / "manifest.json").exists():
-        cmd_gen_data(cfg, ws)
     for style in (STYLELESS,) + tuple(cfg.styles):
         cmd_train_adapter(cfg, ws, style, cfg.mode)
     for task in cfg.tasks:
@@ -249,8 +275,7 @@ def cmd_ablate(cfg: RunConfig, ws: Workspace, task: str) -> int:
     """Grid of {inverse-para, denoise} x {enc, enc+catt, enc+catt+dec} + no-s0."""
     started = time.time()
     ws.ensure_dirs()
-    if not (ws.data / "manifest.json").exists():
-        cmd_gen_data(cfg, ws)
+    ensure_data(cfg, ws)
     for mode in MODES:
         for style in (STYLELESS,) + tuple(cfg.styles):
             if not ws.adapter_path(style, mode).exists():

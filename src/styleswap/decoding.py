@@ -5,6 +5,18 @@ and stop at EOS or at the configured output length. PAD and BOS are never
 emitted. Per-step candidate ranking and the final hypothesis pick share
 one deterministic tie-break: higher score, then shorter output, then
 lexicographically smaller token ids.
+
+Decoding is incremental. The model scorer keeps a `DecodeCache` of every
+decoder layer's keys and values and finds each prefix's parent row by
+looking up `prefix[:-1]` among the previous call's prefixes, so a step
+feeds only the newest token. When some prefix has no parent there (the
+first call, or a caller that breaks the chain), the cache restarts from
+the full prefixes. The search cores stay model-agnostic: they see only
+lists of prefixes and log-prob rows. Beam search ranks each step's
+candidates as a [hypotheses, vocab] array, and without length
+normalization it stops as soon as no active hypothesis can beat the best
+finished one. With a length penalty a longer hypothesis can still
+overtake, so that early stop would not be exact and is not taken.
 """
 
 from __future__ import annotations
@@ -15,9 +27,8 @@ from pathlib import Path
 import numpy as np
 
 from . import autograd as ag
-from .autograd import Tensor
 from .data import Vocab, read_corpus, write_corpus
-from .model import Model, decode_logits_batch, encode_batch, swap_adapters
+from .model import DecodeCache, Model, decode_logits_batch, encode_batch, swap_adapters
 
 
 @dataclass(frozen=True)
@@ -49,18 +60,32 @@ def log_softmax_rows(x: np.ndarray) -> np.ndarray:
 
 
 def model_step_fn(model: Model, src: list[int], vocab: Vocab):
-    """Per-step scorer: batch of equal-length prefixes -> log-prob rows."""
+    """Per-step scorer: batch of equal-length prefixes -> log-prob rows.
+
+    Incremental: each prefix whose `prefix[:-1]` was a prefix of the
+    previous call continues that row's cache with its last token. If any
+    prefix has no such parent, the cache restarts and every prefix is fed
+    whole, through the same decoder function.
+    """
     with ag.no_grad():
         enc = encode_batch(model, np.asarray([src], dtype=np.int64), None)
-    tiles: dict[int, Tensor] = {}
+        source = DecodeCache.build(model, enc)
+    cache: DecodeCache | None = None
+    rows: dict[tuple[int, ...], int] = {}  # prefix of the previous call -> its cache row
 
     def step(prefixes: list[list[int]]) -> np.ndarray:
-        n = len(prefixes)
-        if n not in tiles:
-            tiles[n] = Tensor(np.repeat(enc.data, n, axis=0))
+        nonlocal cache, rows
+        keys = [tuple(p) for p in prefixes]
+        parents = [rows.get(key[:-1]) for key in keys]
+        if None in parents:
+            cache = source.select(np.zeros(len(keys), dtype=np.intp))
+            tokens = np.asarray(keys, dtype=np.int64)
+        else:
+            cache = cache.select(np.asarray(parents, dtype=np.intp))
+            tokens = np.asarray([key[-1:] for key in keys], dtype=np.int64)
+        rows = {key: r for r, key in enumerate(keys)}
         with ag.no_grad():
-            logits = decode_logits_batch(model, tiles[n], None,
-                                         np.asarray(prefixes, dtype=np.int64))
+            logits = decode_logits_batch(model, enc, None, tokens, cache=cache)
         logp = log_softmax_rows(logits.data[:, -1, :])
         logp[:, vocab.pad] = -np.inf
         logp[:, vocab.bos] = -np.inf
@@ -90,34 +115,54 @@ def greedy_core(step_fn, bos: int, eos: int, max_len: int) -> tuple[list[int], f
 
 def beam_core(step_fn, bos: int, eos: int, max_len: int, beam_size: int,
               alpha: float) -> tuple[list[int], float]:
-    """Standard beam search; finished hypotheses retire into a pool."""
-    active: list[tuple[tuple[int, ...], float]] = [((), 0.0)]
+    """Standard beam search; finished hypotheses retire into a pool.
+
+    `step_fn` rows are log-probabilities: every entry is <= 0 and -inf bans
+    a token. Each step keeps the `beam_size` best finite candidates ranked
+    by (-score, tokens). All active hypotheses have the same length, so the
+    token order is the parent's lexicographic rank, then the new token id.
+    Without length normalization (alpha <= 0) the search stops once no
+    active score exceeds the best finished one. That is exact: a
+    continuation only loses score and is longer than the finished
+    hypothesis, so it can neither win nor tie. With alpha > 0 a longer
+    hypothesis can still overtake, so every step runs.
+    """
+    active: list[tuple[int, ...]] = [()]
+    scores = np.zeros(1)
     pool: list[tuple[tuple[int, ...], float, int]] = []  # tokens, score, steps scored
+    best_done = -np.inf
     for _ in range(max_len):
-        logp = step_fn([[bos, *toks] for toks, _ in active])
-        candidates = []
-        for (toks, score), row in zip(active, logp):
-            for v in np.flatnonzero(np.isfinite(row)):
-                v = int(v)
-                candidates.append((score + float(row[v]), toks + (v,)))
-        candidates.sort(key=lambda c: (-c[0], c[1]))
-        active = []
-        for score, seq in candidates[:beam_size]:
+        logp = step_fn([[bos, *toks] for toks in active])
+        flat = np.flatnonzero(np.isfinite(logp))
+        cand = (scores[:, None] + logp).ravel()[flat]
+        if cand.size > beam_size:
+            kth = np.partition(cand, cand.size - beam_size)[cand.size - beam_size]
+            keep = cand >= kth  # ties at the cut survive into the sort
+            flat, cand = flat[keep], cand[keep]
+        parent, tok = np.divmod(flat, logp.shape[1])
+        n = len(active)
+        rank = np.empty(n, dtype=np.intp)  # lexicographic rank of each active hypothesis
+        rank[sorted(range(n), key=active.__getitem__)] = np.arange(n)
+        kept, kept_scores = [], []
+        for i in np.lexsort((tok, rank[parent], -cand))[:beam_size]:
+            seq, score = active[parent[i]] + (int(tok[i]),), float(cand[i])
             if seq[-1] == eos:
                 pool.append((seq[:-1], score, len(seq)))
+                best_done = max(best_done, score)
             else:
-                active.append((seq, score))
-        if not active:
+                kept.append(seq)
+                kept_scores.append(score)
+        active, scores = kept, np.asarray(kept_scores)
+        if not active or (alpha <= 0 and scores.max() <= best_done):
             break
-    pool.extend((toks, score, len(toks)) for toks, score in active)
+    pool.extend((toks, float(score), len(toks)) for toks, score in zip(active, scores))
 
     def ranking(entry):
         toks, score, steps = entry
         norm = score / (max(steps, 1) ** alpha) if alpha > 0 else score
         return (-norm, len(toks), toks)
 
-    best = min(pool, key=ranking)
-    toks, score, steps = best
+    toks, score, steps = min(pool, key=ranking)
     final = score / (max(steps, 1) ** alpha) if alpha > 0 else score
     return list(toks), final
 
@@ -148,6 +193,9 @@ def generate_batch(model: Model, adapter_file: Path, input_file: Path,
     """Decode every input line in order; one output line per input line."""
     from .store import load_adapter
 
+    if cfg.max_out_len > model.config.max_len:
+        raise ValueError(f"max_out_len={cfg.max_out_len} exceeds the model's "
+                         f"max_len={model.config.max_len}")
     adapters = load_adapter(adapter_file, model)
     inputs = read_corpus(input_file, vocab)
     results = []

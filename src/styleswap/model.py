@@ -11,6 +11,15 @@ belongs to exactly one group (enc, dec-self, dec-catt, dec-other), which
 is what the training stages use to express freeze policies. The token
 embedding joins the enc group: this model trains from scratch, so the
 task stage must be able to move the (tied) output head.
+
+Training and decoding share one decoder function, `decode_logits_batch`.
+Given a `DecodeCache`, it runs incrementally (Shazeer 2019,
+arXiv:1911.02150): it embeds only the new positions, appends each layer's
+new self-attention keys and values to the cached ones, and reads
+cross-attention keys and values projected once per source. `select`
+gathers cache rows, so a beam can reorder or duplicate its hypotheses
+between steps. The cache holds plain arrays off the autograd tape, so it
+is refused while gradients are recorded.
 """
 
 from __future__ import annotations
@@ -198,32 +207,37 @@ def _linear(x2d: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return ag.add(ag.matmul(x2d, w), b)
 
 
-def _attention(model: Model, name: str, x_q: Tensor, x_kv: Tensor,
-               mask: np.ndarray | None) -> Tensor:
+def _heads(model: Model, name: str, x: Tensor, which: str) -> Tensor:
+    """Project x [B, L, h] with `name`'s q, k or v weights into heads [B, heads, L, dh]."""
     p = model.params
     heads = model.config.n_heads
-    bsz, t, h = x_q.shape
-    s = x_kv.shape[1]
-    dh = h // heads
+    bsz, length, h = x.shape
+    flat = ag.reshape(x, (bsz * length, h))
+    if which == "k":
+        y = ag.matmul(flat, p[f"{name}.wk"])
+    else:
+        y = _linear(flat, p[f"{name}.w{which}"], p[f"{name}.b{which}"])
+    return ag.transpose(ag.reshape(y, (bsz, length, heads, h // heads)), (0, 2, 1, 3))
 
-    def proj(x, which, length):
-        flat = ag.reshape(x, (bsz * length, h))
-        if which == "k":
-            y = ag.matmul(flat, p[f"{name}.wk"])
-        else:
-            y = _linear(flat, p[f"{name}.w{which}"], p[f"{name}.b{which}"])
-        return ag.transpose(ag.reshape(y, (bsz, length, heads, dh)), (0, 2, 1, 3))
 
-    q = proj(x_q, "q", t)
-    k = proj(x_kv, "k", s)
-    v = proj(x_kv, "v", s)
+def _attend(model: Model, name: str, q: Tensor, k: Tensor, v: Tensor,
+            mask: np.ndarray | None) -> Tensor:
+    """Scaled dot-product attention of projected heads, merged and output-projected."""
+    p = model.params
+    bsz, heads, t, dh = q.shape
     scores = ag.mul(ag.matmul(q, ag.transpose(k, (0, 1, 3, 2))), Tensor(dh ** -0.5))
     if mask is not None:
         scores = ag.add(scores, Tensor(mask))
     ctx = ag.matmul(ag.softmax(scores, axis=-1), v)
-    merged = ag.reshape(ag.transpose(ctx, (0, 2, 1, 3)), (bsz * t, h))
+    merged = ag.reshape(ag.transpose(ctx, (0, 2, 1, 3)), (bsz * t, heads * dh))
     out = _linear(merged, p[f"{name}.wo"], p[f"{name}.bo"])
-    return ag.reshape(out, (bsz, t, h))
+    return ag.reshape(out, (bsz, t, heads * dh))
+
+
+def _attention(model: Model, name: str, x_q: Tensor, x_kv: Tensor,
+               mask: np.ndarray | None) -> Tensor:
+    return _attend(model, name, _heads(model, name, x_q, "q"), _heads(model, name, x_kv, "k"),
+                   _heads(model, name, x_kv, "v"), mask)
 
 
 def _ffn(model: Model, name: str, x: Tensor) -> Tensor:
@@ -240,11 +254,15 @@ def _residual_ln(model: Model, name: str, x: Tensor, sub: Tensor) -> Tensor:
                          model.config.ln_eps)
 
 
-def _embed(model: Model, tokens: np.ndarray) -> Tensor:
-    t = tokens.shape[1]
+def _embed(model: Model, tokens: np.ndarray, start: int = 0) -> Tensor:
+    """Scaled token embeddings plus the positions start, start + 1, ..."""
+    end = start + tokens.shape[1]
+    if end > model.config.max_len:
+        raise ValueError(f"sequence reaches position {end}, beyond model "
+                         f"max_len={model.config.max_len}")
     scaled = ag.mul(ag.embedding(model.params["emb.tok"], tokens),
                     Tensor(model.config.d_model ** 0.5))
-    return ag.add(scaled, Tensor(model.positions[:t]))
+    return ag.add(scaled, Tensor(model.positions[start:end]))
 
 
 def pad_attention_mask(tokens: np.ndarray, pad_id: int) -> np.ndarray:
@@ -254,9 +272,11 @@ def pad_attention_mask(tokens: np.ndarray, pad_id: int) -> np.ndarray:
     return mask.reshape(bsz, 1, 1, length)
 
 
-def causal_attention_mask(length: int) -> np.ndarray:
-    mask = np.triu(np.full((length, length), MASK_NEG), k=1)
-    return mask.reshape(1, 1, length, length)
+def causal_attention_mask(length: int, past: int = 0) -> np.ndarray:
+    """Additive mask letting each of `length` new positions see the `past` cached
+    positions, itself and the new positions before it."""
+    mask = np.triu(np.full((length, past + length), MASK_NEG), k=past + 1)
+    return mask.reshape(1, 1, length, past + length)
 
 
 def adapter_forward(z: Tensor, adapters: AdapterSet, layer: int, eps: float) -> Tensor:
@@ -282,27 +302,81 @@ def encode_batch(model: Model, tokens: np.ndarray, src_mask: np.ndarray | None) 
     return x
 
 
+@dataclass
+class DecodeCache:
+    """Keys and values of every decoder layer for incremental decoding (inference only).
+
+    Row r of every array belongs to prefix row r of the next
+    `decode_logits_batch` call. `cross[i]` is decoder layer i's
+    cross-attention (K, V) of the encoder states; `past[i]` is its
+    self-attention (K, V) of the `length` positions decoded so far. All are
+    [rows, heads, len, dh] arrays.
+    """
+
+    cross: list[tuple[np.ndarray, np.ndarray]]
+    past: list[tuple[np.ndarray, np.ndarray]]
+    length: int = 0
+
+    @classmethod
+    def build(cls, model: Model, enc_states: Tensor) -> DecodeCache:
+        """An empty cache for the rows of `enc_states`, with their cross-attention K/V."""
+        names = [f"dec.{i}.catt" for i in range(model.config.n_dec_layers)]
+        cross = [(_heads(model, n, enc_states, "k").data, _heads(model, n, enc_states, "v").data)
+                 for n in names]
+        empty = np.zeros(cross[0][0].shape[:2] + (0,) + cross[0][0].shape[3:])
+        return cls(cross, [(empty, empty)] * len(names))
+
+    def select(self, rows: np.ndarray) -> DecodeCache:
+        """A cache whose row j is row `rows[j]` of this one; rows may repeat or reorder."""
+        return DecodeCache([(k[rows], v[rows]) for k, v in self.cross],
+                           [(k[rows], v[rows]) for k, v in self.past], self.length)
+
+
 def decode_logits_batch(model: Model, enc_states: Tensor, src_mask: np.ndarray | None,
-                        prefix: np.ndarray, use_adapters: bool = True) -> Tensor:
-    """Next-token logits at every prefix position, shape [B, T, V]."""
+                        prefix: np.ndarray, use_adapters: bool = True,
+                        cache: DecodeCache | None = None) -> Tensor:
+    """Next-token logits at every prefix position, shape [B, T, V].
+
+    Without a cache, `prefix` is the whole decoder input and positions start
+    at 0. With one, `prefix` holds only the positions after the cached
+    `cache.length`; every layer appends their keys and values to the cache,
+    and cross-attention reads the cache's encoder K/V instead of projecting
+    `enc_states` again. The cache holds raw arrays off the tape, so it is
+    refused while gradients are recorded.
+    """
     if use_adapters and model.adapters is None:
         raise AdapterError("decoder requires an installed AdapterSet (style-less runs use s0)")
+    if cache is not None and ag.grad_enabled():
+        raise RuntimeError("decode cache is inference-only; call under autograd.no_grad()")
     bsz, t = prefix.shape
-    y = _embed(model, prefix)
-    causal = causal_attention_mask(t)
+    past = 0 if cache is None else cache.length
+    y = _embed(model, prefix, past)
+    causal = causal_attention_mask(t, past)
     for i in range(model.config.n_dec_layers):
-        a = _attention(model, f"dec.{i}.self", y, y, causal)
-        y = _residual_ln(model, f"dec.{i}.ln1", y, a)
-        c = _attention(model, f"dec.{i}.catt", y, enc_states, src_mask)
+        name = f"dec.{i}.self"
+        q, k, v = (_heads(model, name, y, which) for which in "qkv")
+        if cache is not None:
+            k = Tensor(np.concatenate((cache.past[i][0], k.data), axis=2))
+            v = Tensor(np.concatenate((cache.past[i][1], v.data), axis=2))
+            cache.past[i] = (k.data, v.data)
+        y = _residual_ln(model, f"dec.{i}.ln1", y, _attend(model, name, q, k, v, causal))
+        name = f"dec.{i}.catt"
+        if cache is None:
+            c = _attention(model, name, y, enc_states, src_mask)
+        else:
+            k, v = cache.cross[i]
+            c = _attend(model, name, _heads(model, name, y, "q"), Tensor(k), Tensor(v), src_mask)
         y = _residual_ln(model, f"dec.{i}.ln2", y, c)
         f = _ffn(model, f"dec.{i}.ffn", y)
         y = _residual_ln(model, f"dec.{i}.ln3", y, f)
         if use_adapters:
             y = adapter_forward(y, model.adapters, i, model.config.ln_eps)
-    h, v = model.config.d_model, model.config.vocab_size
+    if cache is not None:
+        cache.length += t
+    h, vocab = model.config.d_model, model.config.vocab_size
     flat = ag.reshape(y, (bsz * t, h))
     logits = ag.matmul(flat, ag.transpose(model.params["emb.tok"], (1, 0)))
-    return ag.reshape(logits, (bsz, t, v))
+    return ag.reshape(logits, (bsz, t, vocab))
 
 
 def swap_adapters(model: Model, adapters: AdapterSet) -> Model:

@@ -1,6 +1,9 @@
 """CLI behavior at micro scale: exit codes, artifacts, determinism."""
 
 import hashlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -151,6 +154,15 @@ class TestGenerate:
         n_outputs = len((flow / "outputs/headline.s0.out").read_text().splitlines())
         assert n_inputs == n_outputs
 
+    def test_output_longer_than_model_max_len_exits_1(self, flow, capsys):
+        out = flow / "outputs/overlong.out"
+        rc = run(flow, "--set", "max_out_len=65", "generate", "--task", "headline",
+                 "--style", "s1", "--output", str(out))
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == "error: max_out_len=65 exceeds the model's max_len=64\n"
+        assert not out.exists()
+
     def test_rerun_bit_identical(self, flow):
         out = flow / "outputs/headline.s1.out"
         assert run(flow, "generate", "--task", "headline", "--style", "s1") == 0
@@ -168,6 +180,17 @@ class TestEvaluate:
         assert set(report.marker) == set(sd.STYLES)
 
 
+class TestModuleEntryPoint:
+    def test_python_dash_m_prints_help(self):
+        src = Path(cli.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(src), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-m", "styleswap", "--help"], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0
+        assert proc.stdout.startswith("usage: styleswap")
+
+
 class TestGradcheck:
     def test_exits_zero_under_threshold(self, capsys):
         assert cli.main(["gradcheck"]) == 0
@@ -181,6 +204,24 @@ class TestPipelineMicro:
         for style in ("s0", "s1", "s2", "s3"):
             assert (ws / f"reports/headline.{style}.report.txt").exists()
         assert (ws / "config.txt").exists()
+
+    def test_corpora_made_with_other_settings_are_refused(self, tmp_path, capsys):
+        ws = tmp_path / "pipe"
+        assert run(ws, "gen-data") == 0
+        assert run(ws, "pipeline") == 0  # matching corpora are reused
+        data = tree_digest(ws / "data")
+        config = (ws / "config.txt").read_bytes()
+        capsys.readouterr()
+        assert run(ws, "--set", "n_task=400", "pipeline") == 1
+        err = capsys.readouterr().err
+        assert "n_task 120 (data) vs 400 (config)" in err and len(err.splitlines()) == 1
+        assert run(ws, "--set", "mask_rate=0.2", "--set", "tasks=headline,story",
+                   "ablate") == 1
+        err = capsys.readouterr().err
+        assert "mask_rate 0.15 (data) vs 0.2 (config)" in err
+        assert "tasks ['headline'] (data) vs ['headline', 'story'] (config)" in err
+        assert tree_digest(ws / "data") == data
+        assert (ws / "config.txt").read_bytes() == config
 
     def test_artifact_counts_and_task_independence(self, tmp_path):
         one, two = tmp_path / "one", tmp_path / "two"

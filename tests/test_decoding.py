@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
-from helpers import BOS, EOS, exhaustive_best, table_step_fn
+from helpers import (BOS, EOS, exhaustive_best, full_prefix_step_fn, list_beam_core,
+                     table_step_fn)
+from styleswap import autograd as ag
 from styleswap import data as sd
 from styleswap import decoding as dec
 from styleswap import model as mdl
@@ -19,6 +21,21 @@ def fixed_table(rows):
             row = np.asarray(rows[len(p) - 1], dtype=np.float64)
             out.append(row)
         return np.asarray(out)
+
+    return step
+
+
+def coarse_table_step_fn(seed, vocab_size):
+    """Table keyed by prefix whose entries are log 1/4 or log 1/2; BOS is banned."""
+
+    def step(prefixes):
+        rows = []
+        for prefix in prefixes:
+            rng = np.random.default_rng([seed, *prefix])
+            row = np.log(rng.choice([0.25, 0.5], size=vocab_size))
+            row[BOS] = -np.inf
+            rows.append(row)
+        return np.asarray(rows)
 
     return step
 
@@ -93,6 +110,56 @@ class TestCores:
         longer = dec.beam_core(fixed_table(rows), BOS, EOS, 2, 4, alpha=1.0)
         assert longer[0] == [2]
 
+    @pytest.mark.parametrize("seed", range(40))
+    @pytest.mark.parametrize("alpha", [0.0, 0.7])
+    def test_array_core_keeps_the_list_core_tie_break(self, seed, alpha):
+        # log-probs from {log 1/4, log 1/2}: equal scores across parents and
+        # at the top-k cut are the common case, not the exception
+        rng = np.random.default_rng(seed)
+        v, t, k = int(rng.integers(3, 6)), int(rng.integers(2, 6)), int(rng.integers(1, 5))
+        fn = coarse_table_step_fn(seed, v)
+        got = dec.beam_core(fn, BOS, EOS, t, k, alpha)
+        want = list_beam_core(fn, BOS, EOS, t, k, alpha)
+        assert got[0] == want[0]
+        assert got[1] == want[1]
+
+    def test_tie_at_the_cut_goes_to_the_lexicographically_smaller_parent(self):
+        # after step 1 the beam holds (3,) ahead of (2,) by score; at step 2
+        # (3, 3) and (2, 2) tie for the last slot, and only (2, 2) can finish well
+        half = np.log(0.5)
+        table = {
+            (): [-np.inf, -np.inf, 2 * half, half],
+            (3,): [-np.inf, -np.inf, 0.0, half],
+            (2,): [-np.inf, -np.inf, 0.0, -np.inf],
+            (3, 2): [-np.inf, -10.0, -10.0, -10.0],
+            (2, 2): [-np.inf, 0.0, -10.0, -10.0],
+            (3, 3): [-np.inf, -5.0, -10.0, -10.0],
+        }
+
+        def step(prefixes):
+            return np.asarray([table[tuple(p[1:])] for p in prefixes])
+
+        for alpha in (0.0, 1.0):
+            got = dec.beam_core(step, BOS, EOS, 3, 2, alpha)
+            assert got == list_beam_core(step, BOS, EOS, 3, 2, alpha)
+            assert got[0] == [2, 2]
+
+    def test_early_stop_only_without_length_penalty(self):
+        # EOS takes 1/2 at every step, so the first finished hypothesis beats
+        # every active one; the beam never runs empty on its own
+        rows = [[-np.inf, np.log(0.5), np.log(0.25), np.log(0.25)]] * 8
+        calls = []
+
+        def counting(prefixes):
+            calls.append(len(prefixes))
+            return fixed_table(rows)(prefixes)
+
+        for alpha, want_calls in ((0.0, 1), (0.5, 8)):
+            calls.clear()
+            got = dec.beam_core(counting, BOS, EOS, 8, 2, alpha)
+            assert got == list_beam_core(fixed_table(rows), BOS, EOS, 8, 2, alpha)
+            assert len(calls) == want_calls
+
     def test_beam_size_validation(self):
         with pytest.raises(ValueError):
             dec.DecodeConfig(beam_size=0)
@@ -154,6 +221,123 @@ class TestModelDecoding:
         assert abs(total - res.score) < 1e-9
 
 
+def seeded_model(seed):
+    """Default-size random model with non-zero adapters, as the decode benchmark builds it."""
+    model = mdl.build_model(mdl.ModelConfig(seed=seed))
+    adapters = mdl.fresh_adapters(model.config, "s1", seed=seed + 1)
+    rng = np.random.default_rng(seed + 2)
+    for layer in adapters.layers:
+        layer["w_up"].data[:] = rng.normal(0.0, 0.3, size=layer["w_up"].shape)
+    return model, adapters
+
+
+class TestIncrementalDecoding:
+    """The cached decoder against the full-prefix oracle of tests/helpers.py."""
+
+    def test_cached_logits_match_full_prefix_at_every_step(self, tiny_setup):
+        vocab, model, adapters = tiny_setup
+        mdl.swap_adapters(model, adapters)
+        rng = np.random.default_rng(17)
+        with ag.no_grad():
+            enc = mdl.encode_batch(model, np.asarray([[vocab.keywords[0], vocab.fillers[2],
+                                                       vocab.keywords[7]]]), None)
+            cache = mdl.DecodeCache.build(model, enc)
+            prefixes = np.full((1, 1), vocab.bos)
+            fed = prefixes
+            # parent rows per step: widen, reorder, duplicate, shrink, widen again
+            for parents in (None, [0, 0, 0], [2, 0, 1], [1, 1, 2, 0], [3, 3],
+                            [1, 0, 1, 0, 1], [4, 2], [0, 1, 1, 0]):
+                if parents is not None:
+                    fed = rng.integers(4, len(vocab), size=(len(parents), 1))
+                    prefixes = np.concatenate((prefixes[parents], fed), axis=1)
+                    cache = cache.select(np.asarray(parents))
+                got = mdl.decode_logits_batch(model, enc, None, fed, cache=cache)
+                tiled = ag.Tensor(np.repeat(enc.data, len(prefixes), axis=0))
+                want = mdl.decode_logits_batch(model, tiled, None, prefixes)
+                np.testing.assert_allclose(got.data[:, -1], want.data[:, -1], rtol=0, atol=1e-10)
+            # several new positions at once on top of the cached ones
+            fed = rng.integers(4, len(vocab), size=(len(prefixes), 3))
+            prefixes = np.concatenate((prefixes, fed), axis=1)
+            got = mdl.decode_logits_batch(model, enc, None, fed, cache=cache)
+            tiled = ag.Tensor(np.repeat(enc.data, len(prefixes), axis=0))
+            want = mdl.decode_logits_batch(model, tiled, None, prefixes)
+            np.testing.assert_allclose(got.data, want.data[:, -3:], rtol=0, atol=1e-10)
+            assert cache.length == prefixes.shape[1]
+
+    def test_scorer_falls_back_when_the_chain_breaks(self, tiny_setup, monkeypatch):
+        vocab, model, adapters = tiny_setup
+        mdl.swap_adapters(model, adapters)
+        x = [vocab.keywords[3], vocab.keywords[4]]
+        widths = []
+        real = dec.decode_logits_batch
+
+        def spy(*args, **kwargs):
+            widths.append(args[3].shape[1])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(dec, "decode_logits_batch", spy)
+        step, ref = dec.model_step_fn(model, x, vocab), full_prefix_step_fn(model, x, vocab)
+        b, a, c, d, e = BOS, *(vocab.keywords[i] for i in (10, 11, 12, 13))
+        calls = [
+            [[b]],
+            [[b, a], [b, c], [b, d]],
+            [[b, d, e], [b, a, e], [b, d, a], [b, d, e]],  # reordered, duplicated
+            [[b, d, a, c]],
+            [[b, a, c, d, e]],  # parent [b, a, c, d] was never scored: full recompute
+            [[b, a, c, d, e, a], [b, a, c, d, e, c]],
+            [[b, e]],  # shorter than the last call: full recompute
+        ]
+        for prefixes in calls:
+            np.testing.assert_allclose(step(prefixes), ref(prefixes), rtol=0, atol=1e-10)
+        assert widths == [1, 1, 1, 1, 5, 1, 2]
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0])
+    def test_search_matches_oracle_on_tiny_model(self, tiny_setup, alpha):
+        vocab, model, adapters = tiny_setup
+        self.assert_matches_oracle(model, adapters, vocab, alpha, max_out_len=12, n=6)
+
+    @pytest.mark.parametrize("alpha", [0.0, 1.0])
+    def test_search_matches_oracle_on_default_size_model(self, alpha):
+        model, adapters = seeded_model(5)
+        self.assert_matches_oracle(model, adapters, sd.Vocab(), alpha, max_out_len=32, n=3)
+
+    @staticmethod
+    def assert_matches_oracle(model, adapters, vocab, alpha, max_out_len, n):
+        cfg = dec.DecodeConfig(beam_size=4, max_out_len=max_out_len, length_penalty=alpha)
+        for pair in sd.gen_task_pairs(vocab, 29, n, "headline"):
+            mdl.swap_adapters(model, adapters)
+            ref = full_prefix_step_fn(model, pair.x, vocab)
+            got = dec.beam_search(model, adapters, pair.x, cfg, vocab)
+            want = list_beam_core(ref, vocab.bos, vocab.eos, max_out_len, 4, alpha)
+            assert got.tokens == want[0]
+            assert abs(got.score - want[1]) < 1e-9
+            got = dec.greedy(model, adapters, pair.x, cfg, vocab)
+            want = dec.greedy_core(ref, vocab.bos, vocab.eos, max_out_len)
+            assert got.tokens == want[0]
+            assert abs(got.score - want[1]) < 1e-9
+
+    def test_cache_is_refused_while_recording_gradients(self, tiny_setup):
+        vocab, model, adapters = tiny_setup
+        mdl.swap_adapters(model, adapters)
+        enc = mdl.encode_batch(model, np.asarray([[vocab.keywords[0]]]), None)
+        cache = mdl.DecodeCache.build(model, enc)
+        assert ag.grad_enabled()
+        with pytest.raises(RuntimeError, match="inference-only"):
+            mdl.decode_logits_batch(model, enc, None, np.full((1, 1), vocab.bos), cache=cache)
+
+    def test_positions_past_max_len_are_refused(self, tiny_setup):
+        vocab, model, adapters = tiny_setup
+        mdl.swap_adapters(model, adapters)
+        limit = model.config.max_len
+        with ag.no_grad():
+            enc = mdl.encode_batch(model, np.asarray([[vocab.keywords[0]]]), None)
+            cache = mdl.DecodeCache.build(model, enc)
+            mdl.decode_logits_batch(model, enc, None, np.full((1, limit), vocab.bos), cache=cache)
+            with pytest.raises(ValueError, match=f"position {limit + 1}.*max_len={limit}"):
+                mdl.decode_logits_batch(model, enc, None, np.full((1, 1), vocab.bos),
+                                        cache=cache)
+
+
 class TestGenerateBatch:
     def test_empty_input_gives_empty_output(self, tiny_setup, tmp_path):
         vocab, model, adapters = tiny_setup
@@ -187,6 +371,20 @@ class TestGenerateBatch:
         with pytest.raises(ValueError, match=r"in.txt:2: .*max_len"):
             dec.generate_batch(model, tmp_path / "a.adapter", tmp_path / "in.txt",
                                tmp_path / "out.txt", dec.DecodeConfig(max_out_len=4), vocab)
+
+    def test_output_longer_than_model_max_len_is_refused_before_decoding(self, tiny_setup,
+                                                                            tmp_path):
+        vocab, model, adapters = tiny_setup
+        store.save_adapter(adapters, model.base_id, tmp_path / "a.adapter")
+        (tmp_path / "in.txt").write_text("k00 k01\n")
+        limit = model.config.max_len
+        with pytest.raises(ValueError, match=f"^max_out_len={limit + 1} .*max_len={limit}$"):
+            dec.generate_batch(model, tmp_path / "a.adapter", tmp_path / "in.txt",
+                               tmp_path / "out.txt", dec.DecodeConfig(max_out_len=limit + 1),
+                               vocab)
+        assert not (tmp_path / "out.txt").exists()
+        dec.generate_batch(model, tmp_path / "a.adapter", tmp_path / "in.txt",
+                           tmp_path / "out.txt", dec.DecodeConfig(max_out_len=limit), vocab)
 
     def test_unknown_token_error_names_line(self, tiny_setup, tmp_path):
         vocab, model, adapters = tiny_setup
