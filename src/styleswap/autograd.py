@@ -7,6 +7,26 @@ output a monotonically increasing id, so creation order is a topological
 order of the graph, and backward() replays the reachable entries exactly
 once, newest first. Grads accumulate additively; the caller clears them
 between optimizer steps.
+
+The model runs on fused sublayer ops, each one tape node with a hand-written
+backward: `project_heads`, `attention`, `merge_heads`, `ffn`,
+`residual_layer_norm`, `adapter`, `scaled_embedding` and `tied_logits`. A
+training forward of the default model then records 51 nodes instead of 224;
+on arrays this small the bookkeeping per node cost more than the arithmetic. The elementary ops stay for tests and `grad_check`, and
+tests/helpers.py keeps the model's forward written in them as the oracle:
+the fused path must give the same logits and bit-identical gradients. Three
+rules keep the bits identical:
+
+- Same layouts. Each backward evaluates the chain's expressions on operands
+  of the same memory layout: numpy's matmul leaves BLAS for a slower loop on
+  strides BLAS cannot take, and a reduction's order can follow the layout.
+- No shared gradient buffers. backward() accumulates in place into the first
+  gradient a tensor receives, so a fused op never hands one array to two
+  parents (see `residual_layer_norm`).
+- Same creation order. Callers create the fused ops in the order the chains
+  were created, so gradients reach each shared tensor (the token embedding,
+  the encoder states, every layer input) in the same order and sum to the
+  same bits.
 """
 
 from __future__ import annotations
@@ -33,6 +53,14 @@ __all__ = [
     "layer_norm",
     "softmax",
     "cross_entropy",
+    "project_heads",
+    "attention",
+    "merge_heads",
+    "ffn",
+    "residual_layer_norm",
+    "adapter",
+    "scaled_embedding",
+    "tied_logits",
     "backward",
     "grad_check",
 ]
@@ -154,6 +182,50 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad
 
 
+# Shared by the elementary ops and the fused ones. A mean is written as
+# sum / h: np.mean divides the same sum by the same count, so the bits agree.
+
+
+def _ln_forward(z: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float):
+    """Layer norm over the last axis: (output, normalized input, 1 / std)."""
+    h = z.shape[-1]
+    if gain.shape != (h,) or bias.shape != (h,):
+        raise DimensionError(
+            f"layer_norm: gain {gain.shape} / bias {bias.shape} do not match feature dim {h}"
+        )
+    if eps <= 0:
+        raise ValueError("layer_norm: eps must be > 0")
+    centered = z - z.sum(axis=-1, keepdims=True) / h
+    var = (centered * centered).sum(axis=-1, keepdims=True) / h
+    inv_std = 1.0 / np.sqrt(var + eps)
+    zhat = centered * inv_std
+    return gain * zhat + bias, zhat, inv_std
+
+
+def _ln_backward(g, zhat, inv_std, gain: Tensor, bias: Tensor, need_z: bool):
+    """Gradients (z, gain, bias) of layer norm; None where not needed."""
+    h = zhat.shape[-1]
+    ggain = (g * zhat).reshape(-1, h).sum(axis=0) if gain.requires_grad else None
+    gbias = g.reshape(-1, h).sum(axis=0) if bias.requires_grad else None
+    gz = None
+    if need_z:
+        gz_hat = g * gain.data
+        m1 = gz_hat.sum(axis=-1, keepdims=True) / h
+        m2 = (gz_hat * zhat).sum(axis=-1, keepdims=True) / h
+        gz = inv_std * (gz_hat - m1 - zhat * m2)
+    return gz, ggain, gbias
+
+
+def _softmax(z: np.ndarray, axis: int = -1) -> np.ndarray:
+    e = np.exp(z - z.max(axis=axis, keepdims=True))
+    return e / e.sum(axis=axis, keepdims=True)
+
+
+def _softmax_backward(out: np.ndarray, g: np.ndarray, axis: int = -1) -> np.ndarray:
+    dot = (g * out).sum(axis=axis, keepdims=True)
+    return out * (g - dot)
+
+
 # ---------------------------------------------------------------------------
 # ops
 
@@ -243,46 +315,21 @@ def embedding(weight: Tensor, ids: np.ndarray) -> Tensor:
 
 def layer_norm(z: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize the last axis to mean 0 / variance 1, then scale and shift."""
-    h = z.data.shape[-1]
-    if gain.data.shape != (h,) or bias.data.shape != (h,):
-        raise DimensionError(
-            f"layer_norm: gain {gain.data.shape} / bias {bias.data.shape} do not match feature dim {h}"
-        )
-    if eps <= 0:
-        raise ValueError("layer_norm: eps must be > 0")
-    mu = z.data.mean(axis=-1, keepdims=True)
-    centered = z.data - mu
-    var = (centered * centered).mean(axis=-1, keepdims=True)
-    inv_std = 1.0 / np.sqrt(var + eps)
-    zhat = centered * inv_std
+    out, zhat, inv_std = _ln_forward(z.data, gain.data, bias.data, eps)
 
     def bwd(g):
-        ggain = (g * zhat).reshape(-1, h).sum(axis=0) if gain.requires_grad else None
-        gbias = g.reshape(-1, h).sum(axis=0) if bias.requires_grad else None
-        if z.requires_grad:
-            gz_hat = g * gain.data
-            m1 = gz_hat.mean(axis=-1, keepdims=True)
-            m2 = (gz_hat * zhat).mean(axis=-1, keepdims=True)
-            gz = inv_std * (gz_hat - m1 - zhat * m2)
-        else:
-            gz = None
-        return gz, ggain, gbias
+        return _ln_backward(g, zhat, inv_std, gain, bias, z.requires_grad)
 
-    return _make(gain.data * zhat + bias.data, "layer_norm", (z, gain, bias), bwd)
+    return _make(out, "layer_norm", (z, gain, bias), bwd)
 
 
 def softmax(z: Tensor, axis: int = -1) -> Tensor:
     if not -z.data.ndim <= axis < z.data.ndim:
         raise DimensionError(f"softmax: axis {axis} invalid for shape {z.data.shape}")
-    shifted = z.data - z.data.max(axis=axis, keepdims=True)
-    e = np.exp(shifted)
-    out_data = e / e.sum(axis=axis, keepdims=True)
+    out_data = _softmax(z.data, axis)
 
     def bwd(g):
-        if not z.requires_grad:
-            return (None,)
-        dot = (g * out_data).sum(axis=axis, keepdims=True)
-        return (out_data * (g - dot),)
+        return (_softmax_backward(out_data, g, axis) if z.requires_grad else None,)
 
     return _make(out_data, "softmax", (z,), bwd)
 
@@ -319,6 +366,192 @@ def cross_entropy(logits: Tensor, targets: np.ndarray, ignore_id: int) -> Tensor
         return (grad * (float(g) / n_valid),)
 
     return _make(np.asarray(loss), "cross_entropy", (logits,), bwd)
+
+
+# ---------------------------------------------------------------------------
+# fused sublayer ops: one tape node each, the same bits as the chain each
+# docstring names (see the module docstring for the rules that keep them)
+
+
+def project_heads(x: Tensor, w: Tensor, b: Tensor | None, n_heads: int) -> Tensor:
+    """x [B, L, h] @ w (+ b), split into heads [B, n_heads, L, d / n_heads].
+
+    Replaces reshape -> matmul -> add -> reshape -> transpose.
+    """
+    bsz, length, h = x.data.shape
+    flat = x.data.reshape(bsz * length, h)
+    y = flat @ w.data
+    if b is not None:
+        y = y + b.data
+    d = y.shape[1]
+    out = np.ascontiguousarray(y.reshape(bsz, length, n_heads, d // n_heads).transpose(0, 2, 1, 3))
+
+    def bwd(g):
+        gy = g.transpose(0, 2, 1, 3).reshape(bsz * length, d)
+        gx = (gy @ w.data.swapaxes(-1, -2)).reshape(x.data.shape) if x.requires_grad else None
+        gw = flat.swapaxes(-1, -2) @ gy if w.requires_grad else None
+        if b is None:
+            return gx, gw
+        return gx, gw, (gy.sum(axis=0) if b.requires_grad else None)
+
+    return _make(out, "project_heads", (x, w) if b is None else (x, w, b), bwd)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, mask: np.ndarray | None) -> Tensor:
+    """softmax(q k^T / sqrt(dh) + mask) v over heads [B, H, len, dh]; mask is additive.
+
+    Replaces transpose -> matmul -> mul -> add -> softmax -> matmul.
+    """
+    scale = q.data.shape[-1] ** -0.5
+    kt = np.ascontiguousarray(k.data.transpose(0, 1, 3, 2))
+    scores = (q.data @ kt) * scale
+    if mask is not None:
+        scores = scores + mask
+    probs = _softmax(scores)
+
+    def bwd(g):
+        gq = gk = None
+        if q.requires_grad or k.requires_grad:
+            gs = _softmax_backward(probs, g @ v.data.swapaxes(-1, -2)) * scale
+            if q.requires_grad:
+                gq = gs @ kt.swapaxes(-1, -2)
+            if k.requires_grad:
+                gk = (q.data.swapaxes(-1, -2) @ gs).transpose(0, 1, 3, 2)
+        gv = probs.swapaxes(-1, -2) @ g if v.requires_grad else None
+        return gq, gk, gv
+
+    return _make(probs @ v.data, "attention", (q, k, v), bwd)
+
+
+def merge_heads(ctx: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """Heads [B, H, T, dh] merged to [B, T, H * dh], then @ w + b.
+
+    Replaces transpose -> reshape -> matmul -> add -> reshape.
+    """
+    bsz, heads, t, dh = ctx.data.shape
+    merged = np.ascontiguousarray(ctx.data.transpose(0, 2, 1, 3)).reshape(bsz * t, heads * dh)
+    y = merged @ w.data + b.data
+
+    def bwd(g):
+        gy = g.reshape(y.shape)
+        gctx = None
+        if ctx.requires_grad:
+            gm = gy @ w.data.swapaxes(-1, -2)
+            gctx = gm.reshape(bsz, t, heads, dh).transpose(0, 2, 1, 3)
+        gw = merged.swapaxes(-1, -2) @ gy if w.requires_grad else None
+        gb = gy.sum(axis=0) if b.requires_grad else None
+        return gctx, gw, gb
+
+    return _make(y.reshape(bsz, t, y.shape[1]), "merge_heads", (ctx, w, b), bwd)
+
+
+def ffn(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """relu(x @ w1 + b1) @ w2 + b2 over the last axis of x [B, T, h].
+
+    Replaces reshape -> matmul -> add -> relu -> matmul -> add -> reshape.
+    """
+    bsz, t, h = x.data.shape
+    flat = x.data.reshape(bsz * t, h)
+    pre = flat @ w1.data + b1.data
+    hidden = np.maximum(pre, 0.0)
+    y = hidden @ w2.data + b2.data
+
+    def bwd(g):
+        gy = g.reshape(y.shape)
+        gx = gw1 = gb1 = None
+        if x.requires_grad or w1.requires_grad or b1.requires_grad:
+            gpre = (gy @ w2.data.swapaxes(-1, -2)) * (pre > 0.0)
+            if x.requires_grad:
+                gx = (gpre @ w1.data.swapaxes(-1, -2)).reshape(x.data.shape)
+            if w1.requires_grad:
+                gw1 = flat.swapaxes(-1, -2) @ gpre
+            if b1.requires_grad:
+                gb1 = gpre.sum(axis=0)
+        gw2 = hidden.swapaxes(-1, -2) @ gy if w2.requires_grad else None
+        gb2 = gy.sum(axis=0) if b2.requires_grad else None
+        return gx, gw1, gb1, gw2, gb2
+
+    return _make(y.reshape(bsz, t, y.shape[1]), "ffn", (x, w1, b1, w2, b2), bwd)
+
+
+def residual_layer_norm(x: Tensor, sub: Tensor, gain: Tensor, bias: Tensor,
+                        eps: float) -> Tensor:
+    """layer_norm(x + sub): a post-LN residual connection. Replaces add -> layer_norm."""
+    out, zhat, inv_std = _ln_forward(x.data + sub.data, gain.data, bias.data, eps)
+
+    def bwd(g):
+        gz, ggain, gbias = _ln_backward(g, zhat, inv_std, gain, bias,
+                                        x.requires_grad or sub.requires_grad)
+        # one buffer per parent: backward() accumulates in place into the
+        # first gradient a tensor receives, and x may be sub
+        return gz, (None if gz is None else gz.copy()), ggain, gbias
+
+    return _make(out, "residual_layer_norm", (x, sub, gain, bias), bwd)
+
+
+def adapter(z: Tensor, ln_g: Tensor, ln_b: Tensor, w_down: Tensor, w_up: Tensor,
+            eps: float) -> Tensor:
+    """Bottleneck adapter relu(layer_norm(z) @ w_down) @ w_up + z.
+
+    Replaces layer_norm -> reshape -> matmul -> relu -> matmul -> reshape -> add.
+    """
+    h = w_down.data.shape[0]
+    zn, zhat, inv_std = _ln_forward(z.data, ln_g.data, ln_b.data, eps)
+    flat = zn.reshape((-1, h) if z.data.ndim > 1 else (1, h))
+    pre = flat @ w_down.data
+    inner = np.maximum(pre, 0.0)
+    up = inner @ w_up.data
+
+    def bwd(g):
+        gup = g.reshape(up.shape)
+        gw_up = inner.swapaxes(-1, -2) @ gup if w_up.requires_grad else None
+        need_ln = z.requires_grad or ln_g.requires_grad or ln_b.requires_grad
+        gz = gln_g = gln_b = gw_down = None
+        if need_ln or w_down.requires_grad:
+            gpre = (gup @ w_up.data.swapaxes(-1, -2)) * (pre > 0.0)
+            if w_down.requires_grad:
+                gw_down = flat.swapaxes(-1, -2) @ gpre
+            if need_ln:
+                gzn = (gpre @ w_down.data.swapaxes(-1, -2)).reshape(z.data.shape)
+                gz, gln_g, gln_b = _ln_backward(gzn, zhat, inv_std, ln_g, ln_b, z.requires_grad)
+                if gz is not None:
+                    gz = g + gz
+        return gz, gln_g, gln_b, gw_down, gw_up
+
+    return _make(up.reshape(z.data.shape) + z.data, "adapter", (z, ln_g, ln_b, w_down, w_up),
+                 bwd)
+
+
+def scaled_embedding(weight: Tensor, ids: np.ndarray, scale: float,
+                     positions: np.ndarray) -> Tensor:
+    """weight[ids] * scale + positions. Replaces embedding -> mul -> add."""
+    ids = np.asarray(ids, dtype=np.int64)
+
+    def bwd(g):
+        gw = np.zeros_like(weight.data)
+        np.add.at(gw, ids.ravel(), (g * scale).reshape(-1, weight.data.shape[1]))
+        return (gw,)
+
+    return _make(weight.data[ids] * scale + positions, "scaled_embedding", (weight,), bwd)
+
+
+def tied_logits(x: Tensor, weight: Tensor) -> Tensor:
+    """x [B, T, h] against every row of weight [V, h]: logits [B, T, V].
+
+    Replaces reshape -> transpose -> matmul -> reshape.
+    """
+    bsz, t, h = x.data.shape
+    flat = x.data.reshape(bsz * t, h)
+    wt = np.ascontiguousarray(weight.data.transpose(1, 0))
+    y = flat @ wt
+
+    def bwd(g):
+        gy = g.reshape(y.shape)
+        gx = (gy @ wt.swapaxes(-1, -2)).reshape(x.data.shape) if x.requires_grad else None
+        gw = (flat.swapaxes(-1, -2) @ gy).transpose(1, 0) if weight.requires_grad else None
+        return gx, gw
+
+    return _make(y.reshape(bsz, t, y.shape[1]), "tied_logits", (x, weight), bwd)
 
 
 # ---------------------------------------------------------------------------

@@ -78,17 +78,11 @@ class Workspace:
         return self.reports / f"{task}.{style}{suffix}.report.txt"
 
 
-def _require_data(ws: Workspace):
-    if not (ws.data / "manifest.json").exists():
-        raise CliError(f"no corpora under {ws.data}; run gen-data first")
-
-
-def ensure_data(cfg: RunConfig, ws: Workspace) -> None:
-    """Generate the corpora, or check that the workdir's were made with cfg's settings."""
+def _require_data(cfg: RunConfig, ws: Workspace):
+    """Check that the workdir's corpora exist and were made with cfg's settings."""
     path = ws.data / "manifest.json"
     if not path.exists():
-        cmd_gen_data(cfg, ws)
-        return
+        raise CliError(f"no corpora under {ws.data}; run gen-data first")
     try:
         manifest = json.loads(path.read_text(encoding="utf-8"))
         have = {"seed": manifest["seed"], "n_task": manifest["sizes"]["task"],
@@ -107,6 +101,14 @@ def ensure_data(cfg: RunConfig, ws: Workspace) -> None:
     if differ:
         raise CliError(f"{path} was generated with different settings: {', '.join(differ)}; "
                        "use a fresh workdir or matching flags")
+
+
+def ensure_data(cfg: RunConfig, ws: Workspace) -> None:
+    """Generate the corpora, or check that the workdir's were made with cfg's settings."""
+    if (ws.data / "manifest.json").exists():
+        _require_data(cfg, ws)
+    else:
+        cmd_gen_data(cfg, ws)
 
 
 def ensure_base(cfg: RunConfig, ws: Workspace) -> mdl.Model:
@@ -143,7 +145,7 @@ def cmd_gen_data(cfg: RunConfig, ws: Workspace) -> int:
 
 
 def cmd_train_adapter(cfg: RunConfig, ws: Workspace, style: str, mode: str) -> int:
-    _require_data(ws)
+    _require_data(cfg, ws)
     vocab = Vocab()
     model = ensure_base(cfg, ws)
     splits = training.load_style_pairs(ws.data, style, mode, vocab, cfg.model.max_len)
@@ -163,7 +165,7 @@ def cmd_train_adapter(cfg: RunConfig, ws: Workspace, style: str, mode: str) -> i
 def cmd_train_task(cfg: RunConfig, ws: Workspace, task: str, trainable: str,
                    fresh_s0: bool = False, variant: str = "",
                    s0_mode: str | None = None) -> int:
-    _require_data(ws)
+    _require_data(cfg, ws)
     vocab = Vocab()
     base = ensure_base(cfg, ws)
     model = store.clone_model(base)
@@ -226,7 +228,7 @@ def _style_lms(cfg: RunConfig, ws: Workspace, vocab: Vocab) -> dict[str, mx.Ngra
 def cmd_evaluate(cfg: RunConfig, ws: Workspace, task: str, style: str,
                  variant: str = "", outputs_file: Path | None = None,
                  trainable: str | None = None) -> int:
-    _require_data(ws)
+    _require_data(cfg, ws)
     vocab = Vocab()
     out_path = Path(outputs_file) if outputs_file else ws.output_path(task, style, variant)
     if not out_path.exists():
@@ -350,6 +352,44 @@ def _op_level_checks(rng: np.random.Generator) -> float:
         err = ag.grad_check(f, ag.Tensor(w.data.copy()))
         print(f"gradcheck: op {name:14s} max_rel_err {err:.3e}")
         worst = max(worst, err)
+    # a child stream, so that the decoder-step check draws what it drew before
+    return max(worst, _fused_op_checks(rng.spawn(1)[0]))
+
+
+def _fused_op_checks(rng: np.random.Generator) -> float:
+    """grad_check of every fused op against each input it differentiates."""
+    bsz, length, h, heads, f, b, v = 2, 3, 4, 2, 5, 3, 6
+
+    def t(*shape, low=-1.0, high=1.0):
+        return ag.Tensor(rng.uniform(low, high, size=shape))
+
+    x, sub, heads_in = t(bsz, length, h), t(bsz, length, h), t(bsz, heads, length, h // heads)
+    causal = mdl.causal_attention_mask(length)
+    ids, positions = rng.integers(0, v, size=(bsz, length)), t(length, h).data
+    ops = {
+        "project_heads": (lambda *a: ag.project_heads(*a, heads), [x, t(h, h), t(h)]),
+        "attention": (lambda *a: ag.attention(*a, causal),
+                      [heads_in, t(bsz, heads, length, h // heads),
+                       t(bsz, heads, length, h // heads)]),
+        "merge_heads": (ag.merge_heads, [heads_in, t(h, h), t(h)]),
+        "ffn": (ag.ffn, [x, t(h, f), t(f), t(f, h), t(h)]),
+        "residual_ln": (lambda *a: ag.residual_layer_norm(*a, 1e-5),
+                        [x, sub, t(h, low=0.5, high=1.5), t(h)]),
+        "adapter": (lambda *a: ag.adapter(*a, 1e-5),
+                    [x, t(h, low=0.5, high=1.5), t(h), t(h, b), t(b, h)]),
+        "scaled_embed": (lambda w: ag.scaled_embedding(w, ids, h ** 0.5, positions), [t(v, h)]),
+        "tied_logits": (ag.tied_logits, [x, t(v, h)]),
+    }
+    worst = 0.0
+    for name, (op, args) in ops.items():
+        mix = t(*op(*args).shape)
+        for i, arg in enumerate(args):
+            def loss(probe, i=i):
+                return ag.tsum(ag.mul(op(*args[:i], probe, *args[i + 1:]), mix))
+
+            err = ag.grad_check(loss, arg)
+            print(f"gradcheck: fused {name:13s} input {i} max_rel_err {err:.3e}")
+            worst = max(worst, err)
     return worst
 
 
@@ -502,7 +542,7 @@ def main(argv=None) -> int:
             return cmd_ablate(cfg, ws, args.task)
         raise CliError(f"unhandled command {args.command!r}")
     except (CliError, ValueError, OSError, store.StoreError, mdl.ConfigError,
-            mdl.AdapterError) as exc:
+            mdl.AdapterError, training.NonFiniteLoss) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

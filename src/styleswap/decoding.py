@@ -40,6 +40,10 @@ class DecodeConfig:
     def __post_init__(self):
         if self.beam_size < 1:
             raise ValueError("beam_size must be >= 1")
+        if self.max_out_len < 1:
+            raise ValueError(f"max_out_len must be >= 1, got {self.max_out_len}")
+        if not self.length_penalty >= 0:  # also rejects nan
+            raise ValueError(f"length_penalty must be >= 0, got {self.length_penalty}")
 
     @property
     def max_len(self) -> int:

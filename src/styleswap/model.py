@@ -12,6 +12,15 @@ is what the training stages use to express freeze policies. The token
 embedding joins the enc group: this model trains from scratch, so the
 task stage must be able to move the (tied) output head.
 
+Every sublayer is one fused autograd op (see `autograd`): head projection,
+attention, head merge, feed-forward, residual plus layer norm, adapter,
+embedding and tied output head. The forward helpers below create them in a
+fixed order, which fixes the order in which gradients accumulate into the
+tensors that several ops read: the token embedding, the encoder states and
+each layer input. Changing that order changes gradients in their last bits;
+tests/helpers.py holds the same forward built from elementary ops, which the
+fused one must match bit for bit.
+
 Training and decoding share one decoder function, `decode_logits_batch`.
 Given a `DecodeCache`, it runs incrementally (Shazeer 2019,
 arXiv:1911.02150): it embeds only the new positions, appends each layer's
@@ -203,35 +212,18 @@ def build_model(config: ModelConfig) -> Model:
 # forward pieces
 
 
-def _linear(x2d: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    return ag.add(ag.matmul(x2d, w), b)
-
-
 def _heads(model: Model, name: str, x: Tensor, which: str) -> Tensor:
     """Project x [B, L, h] with `name`'s q, k or v weights into heads [B, heads, L, dh]."""
     p = model.params
-    heads = model.config.n_heads
-    bsz, length, h = x.shape
-    flat = ag.reshape(x, (bsz * length, h))
-    if which == "k":
-        y = ag.matmul(flat, p[f"{name}.wk"])
-    else:
-        y = _linear(flat, p[f"{name}.w{which}"], p[f"{name}.b{which}"])
-    return ag.transpose(ag.reshape(y, (bsz, length, heads, h // heads)), (0, 2, 1, 3))
+    bias = None if which == "k" else p[f"{name}.b{which}"]
+    return ag.project_heads(x, p[f"{name}.w{which}"], bias, model.config.n_heads)
 
 
 def _attend(model: Model, name: str, q: Tensor, k: Tensor, v: Tensor,
             mask: np.ndarray | None) -> Tensor:
     """Scaled dot-product attention of projected heads, merged and output-projected."""
     p = model.params
-    bsz, heads, t, dh = q.shape
-    scores = ag.mul(ag.matmul(q, ag.transpose(k, (0, 1, 3, 2))), Tensor(dh ** -0.5))
-    if mask is not None:
-        scores = ag.add(scores, Tensor(mask))
-    ctx = ag.matmul(ag.softmax(scores, axis=-1), v)
-    merged = ag.reshape(ag.transpose(ctx, (0, 2, 1, 3)), (bsz * t, heads * dh))
-    out = _linear(merged, p[f"{name}.wo"], p[f"{name}.bo"])
-    return ag.reshape(out, (bsz, t, heads * dh))
+    return ag.merge_heads(ag.attention(q, k, v, mask), p[f"{name}.wo"], p[f"{name}.bo"])
 
 
 def _attention(model: Model, name: str, x_q: Tensor, x_kv: Tensor,
@@ -242,16 +234,12 @@ def _attention(model: Model, name: str, x_q: Tensor, x_kv: Tensor,
 
 def _ffn(model: Model, name: str, x: Tensor) -> Tensor:
     p = model.params
-    bsz, t, h = x.shape
-    y = _linear(ag.reshape(x, (bsz * t, h)), p[f"{name}.w1"], p[f"{name}.b1"])
-    y = _linear(ag.relu(y), p[f"{name}.w2"], p[f"{name}.b2"])
-    return ag.reshape(y, (bsz, t, h))
+    return ag.ffn(x, p[f"{name}.w1"], p[f"{name}.b1"], p[f"{name}.w2"], p[f"{name}.b2"])
 
 
 def _residual_ln(model: Model, name: str, x: Tensor, sub: Tensor) -> Tensor:
     p = model.params
-    return ag.layer_norm(ag.add(x, sub), p[f"{name}.g"], p[f"{name}.b"],
-                         model.config.ln_eps)
+    return ag.residual_layer_norm(x, sub, p[f"{name}.g"], p[f"{name}.b"], model.config.ln_eps)
 
 
 def _embed(model: Model, tokens: np.ndarray, start: int = 0) -> Tensor:
@@ -260,9 +248,8 @@ def _embed(model: Model, tokens: np.ndarray, start: int = 0) -> Tensor:
     if end > model.config.max_len:
         raise ValueError(f"sequence reaches position {end}, beyond model "
                          f"max_len={model.config.max_len}")
-    scaled = ag.mul(ag.embedding(model.params["emb.tok"], tokens),
-                    Tensor(model.config.d_model ** 0.5))
-    return ag.add(scaled, Tensor(model.positions[start:end]))
+    return ag.scaled_embedding(model.params["emb.tok"], tokens, model.config.d_model ** 0.5,
+                               model.positions[start:end])
 
 
 def pad_attention_mask(tokens: np.ndarray, pad_id: int) -> np.ndarray:
@@ -284,12 +271,7 @@ def adapter_forward(z: Tensor, adapters: AdapterSet, layer: int, eps: float) -> 
     if adapters is None or layer >= len(adapters.layers):
         raise AdapterError(f"no adapter available for decoder layer {layer}")
     pa = adapters.layers[layer]
-    h = pa["w_down"].shape[0]
-    flat_shape = (-1, h) if len(z.shape) > 1 else (1, h)
-    zn = ag.layer_norm(z, pa["ln_g"], pa["ln_b"], eps)
-    inner = ag.relu(ag.matmul(ag.reshape(zn, flat_shape), pa["w_down"]))
-    up = ag.reshape(ag.matmul(inner, pa["w_up"]), z.shape)
-    return ag.add(up, z)
+    return ag.adapter(z, pa["ln_g"], pa["ln_b"], pa["w_down"], pa["w_up"], eps)
 
 
 def encode_batch(model: Model, tokens: np.ndarray, src_mask: np.ndarray | None) -> Tensor:
@@ -348,7 +330,7 @@ def decode_logits_batch(model: Model, enc_states: Tensor, src_mask: np.ndarray |
         raise AdapterError("decoder requires an installed AdapterSet (style-less runs use s0)")
     if cache is not None and ag.grad_enabled():
         raise RuntimeError("decode cache is inference-only; call under autograd.no_grad()")
-    bsz, t = prefix.shape
+    t = prefix.shape[1]
     past = 0 if cache is None else cache.length
     y = _embed(model, prefix, past)
     causal = causal_attention_mask(t, past)
@@ -373,10 +355,7 @@ def decode_logits_batch(model: Model, enc_states: Tensor, src_mask: np.ndarray |
             y = adapter_forward(y, model.adapters, i, model.config.ln_eps)
     if cache is not None:
         cache.length += t
-    h, vocab = model.config.d_model, model.config.vocab_size
-    flat = ag.reshape(y, (bsz * t, h))
-    logits = ag.matmul(flat, ag.transpose(model.params["emb.tok"], (1, 0)))
-    return ag.reshape(logits, (bsz, t, vocab))
+    return ag.tied_logits(y, model.params["emb.tok"])
 
 
 def swap_adapters(model: Model, adapters: AdapterSet) -> Model:

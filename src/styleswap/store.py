@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import struct
 from dataclasses import asdict, fields
 from pathlib import Path
@@ -74,7 +75,16 @@ def _write(path: Path, magic: bytes, header: dict, named) -> None:
     body += header_bytes
     body += _pack_records(named)
     body += hashlib.sha256(bytes(body)).digest()
-    Path(path).write_bytes(bytes(body))
+    # a temporary file in the target's directory, then one rename: a reader
+    # sees the old file or the whole new one, never a partial write
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        tmp.write_bytes(body)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 class _Reader:

@@ -147,10 +147,15 @@ def set_trainable(model: Model, trainable) -> list[tuple[str, Tensor]]:
     return trainable
 
 
-def train_on_pairs(model: Model, vocab: Vocab, trainable, splits: "PairSplits",
+class NonFiniteLoss(RuntimeError):
+    """A training step's loss is nan or infinite."""
+
+
+def train_on_pairs(model: Model, vocab: Vocab, group: str, splits: "PairSplits",
                    hp: Hyper) -> StageResult:
-    """Epoch loop with per-epoch validation and patience-based early stop."""
-    live = set_trainable(model, trainable)
+    """Epoch loop over `param_group(model, group)` with per-epoch validation and
+    patience-based early stop. A non-finite loss stops it before the update."""
+    live = set_trainable(model, param_group(model, group))
     opt = AdamW(live, hp)
     rng = np.random.default_rng(child_seed(hp.seed, "batch-order"))
     result = StageResult()
@@ -163,6 +168,9 @@ def train_on_pairs(model: Model, vocab: Vocab, trainable, splits: "PairSplits",
             for src, dec_in, dec_tgt in make_batches(splits.train, vocab,
                                                      hp.batch_size, rng):
                 loss = batch_loss(model, vocab, src, dec_in, dec_tgt)
+                if not np.isfinite(loss.data):
+                    raise NonFiniteLoss(f"loss is {loss.item()} at step {step + 1} "
+                                        f"(epoch {epoch + 1}) training {group!r}")
                 opt.zero_grad()
                 ag.backward(loss)
                 opt.step()
@@ -245,7 +253,7 @@ def train_style_adapter(model: Model, vocab: Vocab, style_id: str, mode: str,
     adapters = fresh_adapters(model.config, style_id,
                               seed=child_seed(hp.seed, f"adapter:{style_id}"), mode=mode)
     swap_adapters(model, adapters)
-    result = train_on_pairs(model, vocab, param_group(model, "adapter"), splits, hp)
+    result = train_on_pairs(model, vocab, "adapter", splits, hp)
     return adapters, result
 
 
@@ -255,4 +263,4 @@ def train_task(model: Model, vocab: Vocab, adapters, splits: PairSplits,
     if adapters is None:
         raise AdapterError("task fine-tuning requires the style-less adapters")
     swap_adapters(model, adapters)
-    return train_on_pairs(model, vocab, param_group(model, trainable), splits, hp)
+    return train_on_pairs(model, vocab, trainable, splits, hp)

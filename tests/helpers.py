@@ -1,5 +1,6 @@
-"""Shared oracles for decoder tests: random score tables, exhaustive search,
-and the uncached decoder that the incremental one must match."""
+"""Shared oracles: random score tables, exhaustive search, the uncached
+decoder that the incremental one must match, and the elementary-op forward
+that the fused autograd ops must match bit for bit."""
 
 import hashlib
 
@@ -104,3 +105,140 @@ def list_beam_core(step_fn, bos, eos, max_len, beam_size, alpha):
     toks, score, steps = min(pool, key=ranking)
     final = score / (max(steps, 1) ** alpha) if alpha > 0 else score
     return list(toks), final
+
+
+# ---------------------------------------------------------------------------
+# The model's forward as chains of elementary autograd ops, one tape node per
+# op: the oracle that the fused ops must match bit for bit, in logits and in
+# every gradient.
+
+
+def _linear(x2d, w, b):
+    return ag.add(ag.matmul(x2d, w), b)
+
+
+def composed_heads(model, name, x, which):
+    p = model.params
+    heads = model.config.n_heads
+    bsz, length, h = x.shape
+    flat = ag.reshape(x, (bsz * length, h))
+    if which == "k":
+        y = ag.matmul(flat, p[f"{name}.wk"])
+    else:
+        y = _linear(flat, p[f"{name}.w{which}"], p[f"{name}.b{which}"])
+    return ag.transpose(ag.reshape(y, (bsz, length, heads, h // heads)), (0, 2, 1, 3))
+
+
+def composed_attend(model, name, q, k, v, mask):
+    p = model.params
+    bsz, heads, t, dh = q.shape
+    scores = ag.mul(ag.matmul(q, ag.transpose(k, (0, 1, 3, 2))), ag.Tensor(dh ** -0.5))
+    if mask is not None:
+        scores = ag.add(scores, ag.Tensor(mask))
+    ctx = ag.matmul(ag.softmax(scores, axis=-1), v)
+    merged = ag.reshape(ag.transpose(ctx, (0, 2, 1, 3)), (bsz * t, heads * dh))
+    out = _linear(merged, p[f"{name}.wo"], p[f"{name}.bo"])
+    return ag.reshape(out, (bsz, t, heads * dh))
+
+
+def composed_ffn(model, name, x):
+    p = model.params
+    bsz, t, h = x.shape
+    y = _linear(ag.reshape(x, (bsz * t, h)), p[f"{name}.w1"], p[f"{name}.b1"])
+    y = _linear(ag.relu(y), p[f"{name}.w2"], p[f"{name}.b2"])
+    return ag.reshape(y, (bsz, t, h))
+
+
+def composed_residual_ln(model, name, x, sub):
+    p = model.params
+    return ag.layer_norm(ag.add(x, sub), p[f"{name}.g"], p[f"{name}.b"],
+                         model.config.ln_eps)
+
+
+def composed_embed(model, tokens, start=0):
+    end = start + tokens.shape[1]
+    if end > model.config.max_len:
+        raise ValueError(f"sequence reaches position {end}, beyond model "
+                         f"max_len={model.config.max_len}")
+    scaled = ag.mul(ag.embedding(model.params["emb.tok"], tokens),
+                    ag.Tensor(model.config.d_model ** 0.5))
+    return ag.add(scaled, ag.Tensor(model.positions[start:end]))
+
+
+def composed_adapter_forward(z, adapters, layer, eps):
+    if adapters is None or layer >= len(adapters.layers):
+        raise mdl.AdapterError(f"no adapter available for decoder layer {layer}")
+    pa = adapters.layers[layer]
+    h = pa["w_down"].shape[0]
+    flat_shape = (-1, h) if len(z.shape) > 1 else (1, h)
+    zn = ag.layer_norm(z, pa["ln_g"], pa["ln_b"], eps)
+    inner = ag.relu(ag.matmul(ag.reshape(zn, flat_shape), pa["w_down"]))
+    up = ag.reshape(ag.matmul(inner, pa["w_up"]), z.shape)
+    return ag.add(up, z)
+
+
+def composed_logits(model, y):
+    bsz, t, h = y.shape
+    flat = ag.reshape(y, (bsz * t, h))
+    logits = ag.matmul(flat, ag.transpose(model.params["emb.tok"], (1, 0)))
+    return ag.reshape(logits, (bsz, t, model.config.vocab_size))
+
+
+def composed_attention(model, name, x_q, x_kv, mask):
+    return composed_attend(model, name, composed_heads(model, name, x_q, "q"),
+                           composed_heads(model, name, x_kv, "k"),
+                           composed_heads(model, name, x_kv, "v"), mask)
+
+
+def composed_encode_batch(model, tokens, src_mask):
+    x = composed_embed(model, tokens)
+    for i in range(model.config.n_enc_layers):
+        a = composed_attention(model, f"enc.{i}.self", x, x, src_mask)
+        x = composed_residual_ln(model, f"enc.{i}.ln1", x, a)
+        f = composed_ffn(model, f"enc.{i}.ffn", x)
+        x = composed_residual_ln(model, f"enc.{i}.ln2", x, f)
+    return x
+
+
+def composed_cache(model, enc_states):
+    names = [f"dec.{i}.catt" for i in range(model.config.n_dec_layers)]
+    cross = [(composed_heads(model, n, enc_states, "k").data,
+              composed_heads(model, n, enc_states, "v").data) for n in names]
+    empty = np.zeros(cross[0][0].shape[:2] + (0,) + cross[0][0].shape[3:])
+    return mdl.DecodeCache(cross, [(empty, empty)] * len(names))
+
+
+def composed_decode_logits_batch(model, enc_states, src_mask, prefix, use_adapters=True,
+                                 cache=None):
+    if use_adapters and model.adapters is None:
+        raise mdl.AdapterError("decoder requires an installed AdapterSet (style-less runs use s0)")
+    if cache is not None and ag.grad_enabled():
+        raise RuntimeError("decode cache is inference-only; call under autograd.no_grad()")
+    t = prefix.shape[1]
+    past = 0 if cache is None else cache.length
+    y = composed_embed(model, prefix, past)
+    causal = mdl.causal_attention_mask(t, past)
+    for i in range(model.config.n_dec_layers):
+        name = f"dec.{i}.self"
+        q, k, v = (composed_heads(model, name, y, which) for which in "qkv")
+        if cache is not None:
+            k = ag.Tensor(np.concatenate((cache.past[i][0], k.data), axis=2))
+            v = ag.Tensor(np.concatenate((cache.past[i][1], v.data), axis=2))
+            cache.past[i] = (k.data, v.data)
+        y = composed_residual_ln(model, f"dec.{i}.ln1", y,
+                                 composed_attend(model, name, q, k, v, causal))
+        name = f"dec.{i}.catt"
+        if cache is None:
+            c = composed_attention(model, name, y, enc_states, src_mask)
+        else:
+            k, v = cache.cross[i]
+            c = composed_attend(model, name, composed_heads(model, name, y, "q"),
+                                ag.Tensor(k), ag.Tensor(v), src_mask)
+        y = composed_residual_ln(model, f"dec.{i}.ln2", y, c)
+        f = composed_ffn(model, f"dec.{i}.ffn", y)
+        y = composed_residual_ln(model, f"dec.{i}.ln3", y, f)
+        if use_adapters:
+            y = composed_adapter_forward(y, model.adapters, i, model.config.ln_eps)
+    if cache is not None:
+        cache.length += t
+    return composed_logits(model, y)

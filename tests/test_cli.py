@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from styleswap import cli
@@ -60,6 +61,14 @@ class TestUsage:
         rc = cli.main(["--workdir", str(tmp_path), "--set", "nope=1", "gen-data"])
         assert rc == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("setting, message", [
+        ("length_penalty=-1", "error: length_penalty must be >= 0, got -1.0\n"),
+        ("max_out_len=0", "error: max_out_len must be >= 1, got 0\n")])
+    def test_bad_decode_setting_exits_1(self, tmp_path, capsys, setting, message):
+        assert cli.main(["--workdir", str(tmp_path), "--set", setting, "gen-data"]) == 1
+        assert capsys.readouterr().err == message
+        assert not (tmp_path / "data").exists()
 
     def test_vocab_size_is_not_a_setting(self, tmp_path, capsys):
         rc = cli.main(["--workdir", str(tmp_path), "--set", "vocab_size=100", "gen-data"])
@@ -131,6 +140,31 @@ class TestOrdering:
         assert "model config keys differ from this version (unknown ['dropout']" in err
         assert len(err.splitlines()) == 1
 
+    @pytest.mark.parametrize("command", [("train-adapter", "--style", "s0"),
+                                         ("train-task", "--task", "headline"),
+                                         ("evaluate", "--task", "headline", "--style", "s1")])
+    def test_stage_commands_refuse_corpora_made_with_other_settings(self, flow, capsys,
+                                                                     command):
+        before = tree_digest(flow)
+        capsys.readouterr()
+        assert run(flow, "--set", "n_style=400", *command) == 1
+        err = capsys.readouterr().err
+        assert "n_style 120 (data) vs 400 (config)" in err and len(err.splitlines()) == 1
+        assert tree_digest(flow) == before
+
+    def test_non_finite_loss_is_one_line_error(self, tmp_path, capsys):
+        assert run(tmp_path, "gen-data") == 0
+        assert run(tmp_path, "train-adapter", "--style", "s0") == 0
+        ws = cli.Workspace(tmp_path)
+        base = store.load_checkpoint(ws.base_init_path())
+        base.params["enc.0.self.wq"].data[0, 0] = np.nan
+        store.save_checkpoint(base, ws.base_init_path())
+        capsys.readouterr()
+        assert run(tmp_path, "train-task", "--task", "headline") == 1
+        err = capsys.readouterr().err
+        assert err == "error: loss is nan at step 1 (epoch 1) training 'enc'\n"
+        assert not ws.task_model_path("headline", "enc").exists()
+
     def test_train_task_requires_s0_adapter(self, tmp_path, capsys):
         assert run(tmp_path, "gen-data") == 0
         rc = run(tmp_path, "train-task", "--task", "headline")
@@ -194,7 +228,13 @@ class TestModuleEntryPoint:
 class TestGradcheck:
     def test_exits_zero_under_threshold(self, capsys):
         assert cli.main(["gradcheck"]) == 0
-        assert "PASS" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "PASS" in out
+        fused = [line.split()[2:5] for line in out.splitlines()
+                 if line.startswith("gradcheck: fused ")]
+        inputs = {"project_heads": 3, "attention": 3, "merge_heads": 3, "ffn": 5,
+                  "residual_ln": 4, "adapter": 5, "scaled_embed": 1, "tied_logits": 2}
+        assert fused == [[op, "input", str(i)] for op, n in inputs.items() for i in range(n)]
 
 
 class TestPipelineMicro:

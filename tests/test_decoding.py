@@ -164,6 +164,14 @@ class TestCores:
         with pytest.raises(ValueError):
             dec.DecodeConfig(beam_size=0)
 
+    @pytest.mark.parametrize("key, bad, ok", [("max_out_len", 0, 1),
+                                              ("length_penalty", -0.5, 0.0),
+                                              ("length_penalty", float("nan"), 1.0)])
+    def test_output_length_and_penalty_validation(self, key, bad, ok):
+        with pytest.raises(ValueError, match=f"^{key} must be >= "):
+            dec.DecodeConfig(**{key: bad})
+        assert getattr(dec.DecodeConfig(**{key: ok}), key) == ok
+
 
 @pytest.fixture(scope="module")
 def tiny_setup():

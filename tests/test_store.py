@@ -83,6 +83,29 @@ class TestCheckpoint:
         with pytest.raises(store.StoreError, match="version"):
             store.load_checkpoint(path)
 
+    @pytest.mark.parametrize("fail_at", ["write", "rename"])
+    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch, fail_at):
+        path = tmp_path / "m.ckpt"
+        store.save_checkpoint(mdl.build_model(small_config(seed=1)), path)
+        before = path.read_bytes()
+
+        def half_write(self, data):
+            with open(self, "wb") as fh:
+                fh.write(data[: len(data) // 2])
+            raise OSError("No space left on device")
+
+        def no_rename(src, dst):
+            raise OSError("rename failed")
+
+        if fail_at == "write":
+            monkeypatch.setattr(type(path), "write_bytes", half_write)
+        else:
+            monkeypatch.setattr(store.os, "replace", no_rename)
+        with pytest.raises(OSError):
+            store.save_checkpoint(mdl.build_model(small_config(seed=2)), path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
+
     def test_missing_parameter_name_detected(self, tmp_path):
         model = mdl.build_model(small_config())
         named = [(n, t.data) for n, t in model.params.items()]

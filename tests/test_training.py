@@ -141,6 +141,20 @@ class TestStage2:
         assert adapter_bytes(adapters) == adapters_before
         assert group_bytes(model, ("enc",)) != enc_before
 
+    def test_non_finite_loss_stops_before_the_update(self, mini_data, tmp_path):
+        model = mdl.build_model(mini_config())
+        adapters = mdl.fresh_adapters(model.config, "s0")
+        model.params["enc.0.ffn.w1"].data[3, 5] = np.nan
+        before = model.base_bytes()
+        splits = tr.load_task_pairs(mini_data, "headline", VOCAB, 40)
+        log = tmp_path / "step2.jsonl"
+        with pytest.raises(tr.NonFiniteLoss,
+                           match=r"^loss is nan at step 1 \(epoch 1\) training 'enc'$"):
+            tr.train_task(model, VOCAB, adapters, splits, "enc",
+                          tr.Hyper(epochs=1, batch_size=16, log_path=log))
+        assert model.base_bytes() == before
+        assert log.read_text() == ""
+
     def test_wider_selector_trains_strictly_more(self, mini_data):
         model = mdl.build_model(mini_config())
         count = lambda sel: sum(t.size for _, t in mdl.param_group(model, sel))
