@@ -3,7 +3,7 @@
 from .autograd import Tensor, backward, grad_check, no_grad
 from .config import RunConfig, apply_preset, load_config
 from .data import Vocab
-from .decoding import DecodeConfig, DecodeResult, beam_search, greedy
+from .decoding import DecodeConfig, DecodeResult, beam_search
 from .metrics import MetricsReport, evaluate_run
 from .model import AdapterSet, Model, ModelConfig, build_model, swap_adapters
 from .store import load_adapter, load_checkpoint, save_adapter, save_checkpoint
@@ -15,7 +15,7 @@ __all__ = [
     "Tensor", "backward", "grad_check", "no_grad",
     "RunConfig", "apply_preset", "load_config",
     "Vocab",
-    "DecodeConfig", "DecodeResult", "beam_search", "greedy",
+    "DecodeConfig", "DecodeResult", "beam_search",
     "MetricsReport", "evaluate_run",
     "AdapterSet", "Model", "ModelConfig", "build_model", "swap_adapters",
     "load_adapter", "load_checkpoint", "save_adapter", "save_checkpoint",

@@ -1,21 +1,23 @@
 """Reverse-mode automatic differentiation over dense float64 arrays.
 
-Just enough surface for a small encoder-decoder transformer: elementwise
-arithmetic, matmul, relu, layer norm, softmax, cross entropy, an embedding
-gather, and shape plumbing. Tensors double as the tape: every op assigns its
-output a monotonically increasing id, so creation order is a topological
-order of the graph, and backward() replays the reachable entries exactly
-once, newest first. Grads accumulate additively; the caller clears them
-between optimizer steps.
+Tensors double as the tape: every op assigns its output a monotonically
+increasing id, so creation order is a topological order of the graph, and
+`backward(loss)` replays the reachable entries exactly once, newest first.
+Ops are plain functions of tensors; grads accumulate additively and the
+caller clears them between optimizer steps.
 
 The model runs on fused sublayer ops, each one tape node with a hand-written
 backward: `project_heads`, `attention`, `merge_heads`, `ffn`,
 `residual_layer_norm`, `adapter`, `scaled_embedding` and `tied_logits`. A
 training forward of the default model then records 51 nodes instead of 224;
-on arrays this small the bookkeeping per node cost more than the arithmetic. The elementary ops stay for tests and `grad_check`, and
-tests/helpers.py keeps the model's forward written in them as the oracle:
-the fused path must give the same logits and bit-identical gradients. Three
-rules keep the bits identical:
+on arrays this small the bookkeeping per node cost more than the arithmetic.
+The training loss adds `reshape` and `cross_entropy`.
+
+The elementary ops (`add`, `mul`, `matmul`, `relu`, `transpose`, `tsum`,
+`embedding`, `layer_norm`, `softmax`) are the reference ops: tier-1 tests
+gradcheck them, and tests/helpers.py writes the model's forward in them as
+the oracle that the fused path must match, in logits and bit for bit in
+every gradient. Three rules keep the bits identical:
 
 - Same layouts. Each backward evaluates the chain's expressions on operands
   of the same memory layout: numpy's matmul leaves BLAS for a slower loop on
@@ -117,41 +119,8 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def backward(self) -> None:
-        backward(self)
-
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, op={self._op}, requires_grad={self.requires_grad})"
-
-    # operator sugar; scalars and ndarrays are wrapped as constants
-    def __add__(self, other):
-        return add(self, _as_tensor(other))
-
-    def __radd__(self, other):
-        return add(_as_tensor(other), self)
-
-    def __sub__(self, other):
-        return add(self, mul(_as_tensor(other), _const(-1.0)))
-
-    def __mul__(self, other):
-        return mul(self, _as_tensor(other))
-
-    def __rmul__(self, other):
-        return mul(_as_tensor(other), self)
-
-    def __neg__(self):
-        return mul(self, _const(-1.0))
-
-    def __matmul__(self, other):
-        return matmul(self, _as_tensor(other))
-
-
-def _const(x) -> Tensor:
-    return Tensor(x, requires_grad=False)
-
-
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else _const(x)
 
 
 def _make(data, op: str, parents: tuple[Tensor, ...], bwd) -> Tensor:
@@ -227,7 +196,7 @@ def _softmax_backward(out: np.ndarray, g: np.ndarray, axis: int = -1) -> np.ndar
 
 
 # ---------------------------------------------------------------------------
-# ops
+# elementary ops: the reference for the fused ops below
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:

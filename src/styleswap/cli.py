@@ -8,12 +8,13 @@ Subcommands:
   generate       decode the task test set through a chosen adapter
   evaluate       score one generation run into a key=value report
   pipeline       end to end: data, all adapters, all tasks, generate, evaluate
-  gradcheck      finite-difference audit of every op and a decoder-step loss
+  gradcheck      finite-difference audit of the fused ops and a decoder-step loss
   ablate         pretraining-mode x trainable-group grid plus the no-s0 variant
 
-Every command is deterministic given (--seed, config): reruns produce
-byte-identical artifacts. Exit codes: 0 ok, 1 runtime failure (one-line
-diagnostic on stderr), 2 usage.
+`python -m styleswap --preset toy pipeline` runs the default experiment in
+one command. Every command is deterministic given (--seed, config): reruns
+produce byte-identical artifacts. Exit codes: 0 ok, 1 runtime failure
+(one-line diagnostic on stderr), 2 usage.
 """
 
 from __future__ import annotations
@@ -33,10 +34,7 @@ from . import metrics as mx
 from . import model as mdl
 from . import store, training
 from .config import RunConfig, from_items, read_config_file, save_config
-from .data import STYLELESS, STYLES, Vocab, child_seed, generate_data_dir, read_corpus
-
-
-MODES = ("inverse-para", "denoise")
+from .data import STYLELESS, STYLES, TASKS, Vocab, child_seed, generate_data_dir, read_corpus
 
 
 class CliError(RuntimeError):
@@ -195,6 +193,8 @@ def cmd_generate(cfg: RunConfig, ws: Workspace, task: str, style: str,
                  beam: int | None = None, mode: str | None = None,
                  trainable: str | None = None, variant: str = "",
                  input_file: Path | None = None, output_file: Path | None = None) -> int:
+    if input_file is None:
+        _require_data(cfg, ws)
     vocab = Vocab()
     trainable = trainable or cfg.trainable
     model_path = ws.task_model_path(task, trainable, variant)
@@ -278,12 +278,12 @@ def cmd_ablate(cfg: RunConfig, ws: Workspace, task: str) -> int:
     started = time.time()
     ws.ensure_dirs()
     ensure_data(cfg, ws)
-    for mode in MODES:
+    for mode in training.MODES:
         for style in (STYLELESS,) + tuple(cfg.styles):
             if not ws.adapter_path(style, mode).exists():
                 cmd_train_adapter(cfg, ws, style, mode)
     rows = []
-    for mode in MODES:
+    for mode in training.MODES:
         for sel in mdl.SELECTORS:
             variant = f"ablate-{mode}"
             cmd_train_task(cfg, ws, task, sel, variant=variant, s0_mode=mode)
@@ -324,36 +324,6 @@ def _ablate_row(cfg: RunConfig, ws: Workspace, task: str, trainable: str,
 
 # ---------------------------------------------------------------------------
 # gradcheck
-
-
-def _op_level_checks(rng: np.random.Generator) -> float:
-    worst = 0.0
-    m, k, n = 5, 6, 7
-    a = ag.Tensor(rng.uniform(-2, 2, size=(m, k)))
-    b = ag.Tensor(rng.uniform(-2, 2, size=(k, n)))
-    gain = ag.Tensor(rng.uniform(0.5, 1.5, size=n))
-    bias = ag.Tensor(rng.uniform(-0.5, 0.5, size=n))
-    targets = rng.integers(0, n, size=m)
-    mix = ag.Tensor(rng.normal(size=(m, k)))
-    gather_mix = ag.Tensor(rng.normal(size=(4, k)))
-    ids = rng.integers(0, m, size=4)
-    checks = {
-        "matmul": (lambda t: ag.tsum(ag.matmul(t, b)), a),
-        "layer_norm": (lambda t: ag.tsum(ag.layer_norm(ag.matmul(a, t), gain, bias, 1e-5)),
-                       b),
-        "relu": (lambda t: ag.tsum(ag.relu(ag.add(t, ag.Tensor(np.full((m, k), 1.5))))), a),
-        "softmax": (lambda t: ag.tsum(ag.mul(ag.softmax(t, axis=-1), mix)), a),
-        "cross_entropy": (lambda t: ag.cross_entropy(ag.matmul(a, t), targets,
-                                                     ignore_id=-1), b),
-        "embedding": (lambda t: ag.tsum(ag.mul(ag.embedding(t, ids), gather_mix)),
-                      ag.Tensor(rng.uniform(-1, 1, size=(m, k)))),
-    }
-    for name, (f, w) in checks.items():
-        err = ag.grad_check(f, ag.Tensor(w.data.copy()))
-        print(f"gradcheck: op {name:14s} max_rel_err {err:.3e}")
-        worst = max(worst, err)
-    # a child stream, so that the decoder-step check draws what it drew before
-    return max(worst, _fused_op_checks(rng.spawn(1)[0]))
 
 
 def _fused_op_checks(rng: np.random.Generator) -> float:
@@ -444,7 +414,7 @@ def _decoder_step_check(rng: np.random.Generator) -> float:
 
 def run_gradcheck(seed: int = 0) -> float:
     rng = np.random.default_rng(child_seed(seed, "gradcheck"))
-    return max(_op_level_checks(rng), _decoder_step_check(rng))
+    return max(_fused_op_checks(rng), _decoder_step_check(rng))
 
 
 def cmd_gradcheck(cfg: RunConfig) -> int:
@@ -476,28 +446,28 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser("gen-data")
     p = sub.add_parser("train-adapter")
     p.add_argument("--style", required=True, choices=[STYLELESS, *STYLES])
-    p.add_argument("--mode", default="inverse-para", choices=MODES)
+    p.add_argument("--mode", default=None, choices=training.MODES)
     p = sub.add_parser("train-task")
-    p.add_argument("--task", required=True, choices=["headline", "story"])
-    p.add_argument("--trainable", default="enc", choices=mdl.SELECTORS)
+    p.add_argument("--task", required=True, choices=TASKS)
+    p.add_argument("--trainable", default=None, choices=mdl.SELECTORS)
     p.add_argument("--fresh-s0", action="store_true",
                    help="use fresh identity adapters instead of trained s0")
     p = sub.add_parser("generate")
-    p.add_argument("--task", required=True, choices=["headline", "story"])
+    p.add_argument("--task", required=True, choices=TASKS)
     p.add_argument("--style", required=True, choices=[STYLELESS, *STYLES])
     p.add_argument("--beam", type=int, default=None)
-    p.add_argument("--mode", default=None, choices=MODES)
+    p.add_argument("--mode", default=None, choices=training.MODES)
     p.add_argument("--trainable", default=None, choices=mdl.SELECTORS)
     p.add_argument("--input", type=Path, default=None)
     p.add_argument("--output", type=Path, default=None)
     p = sub.add_parser("evaluate")
-    p.add_argument("--task", required=True, choices=["headline", "story"])
+    p.add_argument("--task", required=True, choices=TASKS)
     p.add_argument("--style", required=True, choices=[STYLELESS, *STYLES])
     p.add_argument("--outputs", type=Path, default=None)
     sub.add_parser("pipeline")
     sub.add_parser("gradcheck")
     p = sub.add_parser("ablate")
-    p.add_argument("--task", default="headline", choices=["headline", "story"])
+    p.add_argument("--task", default="headline", choices=TASKS)
     return parser
 
 
@@ -523,9 +493,9 @@ def main(argv=None) -> int:
         if args.command == "gen-data":
             return cmd_gen_data(cfg, ws)
         if args.command == "train-adapter":
-            return cmd_train_adapter(cfg, ws, args.style, args.mode)
+            return cmd_train_adapter(cfg, ws, args.style, args.mode or cfg.mode)
         if args.command == "train-task":
-            return cmd_train_task(cfg, ws, args.task, args.trainable,
+            return cmd_train_task(cfg, ws, args.task, args.trainable or cfg.trainable,
                                   fresh_s0=args.fresh_s0)
         if args.command == "generate":
             return cmd_generate(cfg, ws, args.task, args.style, beam=args.beam,

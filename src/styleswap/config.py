@@ -4,7 +4,8 @@
 epochs, pretraining mode, stage-2 trainable group, metric LM settings) and
 nests one `ModelConfig`, one `Hyper` and one `DecodeConfig`. Their own
 field defaults are the only copy of the model, optimiser and decode
-defaults.
+defaults. Each config checks its values when built, so a bad setting fails
+when the config is read, before any stage runs.
 
 The "toy" preset is the set of defaults: a ~1M-parameter model and
 10k-sentence corpora sized for a desk run. The "paper" preset restores the
@@ -25,10 +26,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
-from .data import Vocab
+from .data import STYLES, TASKS, Vocab
 from .decoding import DecodeConfig
-from .model import ModelConfig
-from .training import Hyper
+from .model import SELECTORS, ModelConfig
+from .training import MODES, Hyper
 
 
 @dataclass(frozen=True)
@@ -41,8 +42,8 @@ class RunConfig:
     n_style: int = 10_000
     mask_rate: float = 0.15
     delete_rate: float = 0.10
-    tasks: tuple[str, ...] = ("headline", "story")
-    styles: tuple[str, ...] = ("s1", "s2", "s3")
+    tasks: tuple[str, ...] = TASKS
+    styles: tuple[str, ...] = STYLES
     # training
     train: Hyper = field(default_factory=Hyper)
     step1_epochs: int = 5
@@ -54,6 +55,22 @@ class RunConfig:
     # metrics
     lm_order: int = 2
     lm_k: float = 0.1
+
+    def __post_init__(self):
+        for key, names in (("tasks", TASKS), ("styles", STYLES)):
+            value = getattr(self, key)
+            if not value or not set(value) <= set(names) or len(set(value)) < len(value):
+                raise ValueError(f"{key} must be one or more distinct names from "
+                                 f"{','.join(names)}, got {','.join(value)!r}")
+        for key, names in (("mode", MODES), ("trainable", SELECTORS)):
+            if getattr(self, key) not in names:
+                raise ValueError(f"{key} must be one of {', '.join(names)}, "
+                                 f"got {getattr(self, key)!r}")
+        for key in ("step1_epochs", "step2_epochs", "lm_order"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
+        if not self.lm_k > 0:  # also rejects nan
+            raise ValueError(f"lm_k must be > 0, got {self.lm_k}")
 
     def model_config(self) -> ModelConfig:
         return replace(self.model, vocab_size=len(Vocab()), seed=self.seed)

@@ -26,13 +26,14 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 STYLES = ("s1", "s2", "s3")
 STYLELESS = "s0"
+TASKS = ("headline", "story")
 
 N_KEYWORDS = 50
 N_FILLERS = 50
@@ -88,18 +89,6 @@ class Vocab:
 
     def keyword_subsequence(self, toks: list[int]) -> list[int]:
         return [t for t in toks if t in self._keyword_set]
-
-
-@dataclass(frozen=True)
-class StyleSpec:
-    style_id: str
-    marker_ids: tuple[int, ...]
-
-
-def style_spec(vocab: Vocab, style_id: str) -> StyleSpec:
-    if style_id not in vocab.markers:
-        raise ValueError(f"unknown style: {style_id!r}")
-    return StyleSpec(style_id, vocab.markers[style_id])
 
 
 @dataclass
@@ -180,28 +169,28 @@ def split_indices(n: int) -> dict[str, range]:
     }
 
 
-def stylize(vocab: Vocab, plain: list[int], spec: StyleSpec,
+def stylize(vocab: Vocab, plain: list[int], style_id: str,
             rng: np.random.Generator) -> list[int]:
     """Apply a style's decoration rule; never removes content tokens."""
     if any(vocab.marker_style(t) for t in plain):
         raise ValueError("stylize: input already contains marker tokens")
-    pick = lambda: int(rng.choice(spec.marker_ids))
-    if spec.style_id == "s1":
+    pick = lambda: int(rng.choice(vocab.markers[style_id]))
+    if style_id == "s1":
         return [pick()] + list(plain) + [pick(), pick()]
-    if spec.style_id == "s2":
+    if style_id == "s2":
         out = []
         for count, tok in enumerate(plain, start=1):
             out.append(tok)
             if count % 2 == 0:
                 out.append(pick())
         return out
-    if spec.style_id == "s3":
+    if style_id == "s3":
         out = list(plain)
         last_k = max((i for i, t in enumerate(out) if vocab.is_keyword(t)), default=None)
         if last_k is not None:
             out.insert(last_k + 1, out[last_k])
         return [pick()] + out + [pick()]
-    raise ValueError(f"no decoration rule for style {spec.style_id!r}")
+    raise ValueError(f"no decoration rule for style {style_id!r}")
 
 
 def noise_gn(vocab: Vocab, t: list[int], mask_rate: float, delete_rate: float,
@@ -258,11 +247,10 @@ def build_style_corpus(vocab: Vocab, style_id: str, n: int, seed: int,
     if n <= 0:
         raise ValueError("n must be positive")
     rng = np.random.default_rng(child_seed(seed, f"style:{style_id}"))
-    spec = style_spec(vocab, style_id) if style_id != STYLELESS else None
     sentences, para_inputs, noise_inputs = [], [], []
     for _ in range(n):
         plain = _plain_sentence(vocab, rng)
-        sent = stylize(vocab, plain, spec, rng) if spec else plain
+        sent = plain if style_id == STYLELESS else stylize(vocab, plain, style_id, rng)
         sentences.append(sent)
         para_inputs.append(strip_style_gp(vocab, sent, rng))
         noise_inputs.append(noise_gn(vocab, sent, mask_rate, delete_rate, rng))
@@ -293,7 +281,7 @@ def read_corpus(path: Path, vocab: Vocab) -> list[list[int]]:
 
 def generate_data_dir(data_dir: Path, seed: int, n_task: int, n_style: int,
                       mask_rate: float = 0.15, delete_rate: float = 0.10,
-                      tasks: tuple[str, ...] = ("headline", "story")) -> dict:
+                      tasks: tuple[str, ...] = TASKS) -> dict:
     """Write every corpus file plus a manifest; byte-stable for fixed inputs."""
     vocab = Vocab()
     data_dir = Path(data_dir)

@@ -1,18 +1,18 @@
-"""Greedy and beam-search generation through the installed adapters.
+"""Beam-search generation through the installed adapters.
 
-Both decoders run the model in inference mode (no tape), start from BOS,
-and stop at EOS or at the configured output length. PAD and BOS are never
+The decoder runs the model in inference mode (no tape), starts from BOS,
+and stops at EOS or at the configured output length. PAD and BOS are never
 emitted. Per-step candidate ranking and the final hypothesis pick share
 one deterministic tie-break: higher score, then shorter output, then
-lexicographically smaller token ids.
+lexicographically smaller token ids. Beam size 1 is greedy search.
 
 Decoding is incremental. The model scorer keeps a `DecodeCache` of every
 decoder layer's keys and values and finds each prefix's parent row by
 looking up `prefix[:-1]` among the previous call's prefixes, so a step
 feeds only the newest token. When some prefix has no parent there (the
 first call, or a caller that breaks the chain), the cache restarts from
-the full prefixes. The search cores stay model-agnostic: they see only
-lists of prefixes and log-prob rows. Beam search ranks each step's
+the full prefixes. The search core stays model-agnostic: it sees only
+lists of prefixes and log-prob rows. It ranks each step's
 candidates as a [hypotheses, vocab] array, and without length
 normalization it stops as soon as no active hypothesis can beat the best
 finished one. With a length penalty a longer hypothesis can still
@@ -99,22 +99,7 @@ def model_step_fn(model: Model, src: list[int], vocab: Vocab):
 
 
 # ---------------------------------------------------------------------------
-# search cores (model-agnostic; tests drive them with handcrafted tables)
-
-
-def greedy_core(step_fn, bos: int, eos: int, max_len: int) -> tuple[list[int], float]:
-    prefix = [bos]
-    tokens: list[int] = []
-    score = 0.0
-    for _ in range(max_len):
-        row = step_fn([prefix])[0]
-        tok = int(np.argmax(row))  # first maximum = lowest token id on ties
-        score += float(row[tok])
-        if tok == eos:
-            break
-        tokens.append(tok)
-        prefix.append(tok)
-    return tokens, score
+# search core (model-agnostic; tests drive it with handcrafted tables)
 
 
 def beam_core(step_fn, bos: int, eos: int, max_len: int, beam_size: int,
@@ -173,14 +158,6 @@ def beam_core(step_fn, bos: int, eos: int, max_len: int, beam_size: int,
 
 # ---------------------------------------------------------------------------
 # model-level surface
-
-
-def greedy(model: Model, adapters, x: list[int], cfg: DecodeConfig,
-           vocab: Vocab) -> DecodeResult:
-    swap_adapters(model, adapters)
-    tokens, score = greedy_core(model_step_fn(model, x, vocab), vocab.bos,
-                                vocab.eos, cfg.max_out_len)
-    return DecodeResult(tokens, score, adapters.style_id)
 
 
 def beam_search(model: Model, adapters, x: list[int], cfg: DecodeConfig,

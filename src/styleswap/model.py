@@ -315,8 +315,7 @@ class DecodeCache:
 
 
 def decode_logits_batch(model: Model, enc_states: Tensor, src_mask: np.ndarray | None,
-                        prefix: np.ndarray, use_adapters: bool = True,
-                        cache: DecodeCache | None = None) -> Tensor:
+                        prefix: np.ndarray, cache: DecodeCache | None = None) -> Tensor:
     """Next-token logits at every prefix position, shape [B, T, V].
 
     Without a cache, `prefix` is the whole decoder input and positions start
@@ -326,7 +325,7 @@ def decode_logits_batch(model: Model, enc_states: Tensor, src_mask: np.ndarray |
     `enc_states` again. The cache holds raw arrays off the tape, so it is
     refused while gradients are recorded.
     """
-    if use_adapters and model.adapters is None:
+    if model.adapters is None:
         raise AdapterError("decoder requires an installed AdapterSet (style-less runs use s0)")
     if cache is not None and ag.grad_enabled():
         raise RuntimeError("decode cache is inference-only; call under autograd.no_grad()")
@@ -351,8 +350,7 @@ def decode_logits_batch(model: Model, enc_states: Tensor, src_mask: np.ndarray |
         y = _residual_ln(model, f"dec.{i}.ln2", y, c)
         f = _ffn(model, f"dec.{i}.ffn", y)
         y = _residual_ln(model, f"dec.{i}.ln3", y, f)
-        if use_adapters:
-            y = adapter_forward(y, model.adapters, i, model.config.ln_eps)
+        y = adapter_forward(y, model.adapters, i, model.config.ln_eps)
     if cache is not None:
         cache.length += t
     return ag.tied_logits(y, model.params["emb.tok"])

@@ -39,6 +39,10 @@ class Hyper:
     seed: int = 0
     log_path: Path | None = None
 
+    def __post_init__(self):
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+
 
 class AdamW:
     """Decoupled-weight-decay Adam with bias correction, set by a stage's Hyper.
@@ -207,7 +211,11 @@ def train_on_pairs(model: Model, vocab: Vocab, group: str, splits: "PairSplits",
 class PairSplits:
     train: list[tuple[list[int], list[int]]]
     valid: list[tuple[list[int], list[int]]]
-    test: list[tuple[list[int], list[int]]] = field(default_factory=list)
+
+
+# Adapter pretraining mode -> the tag of the perturbed-input corpus it reads:
+# g_p (style-stripping paraphrase) or g_n (noise).
+MODES = {"inverse-para": "para", "denoise": "noise"}
 
 
 def _usable(pair, max_len: int) -> bool:
@@ -218,29 +226,29 @@ def _usable(pair, max_len: int) -> bool:
 def load_style_pairs(data_dir: Path, style_id: str, mode: str, vocab: Vocab,
                      max_len: int) -> PairSplits:
     """(perturbed, original) pairs for one style; mode picks g_p or g_n inputs."""
-    tag = {"inverse-para": "para", "denoise": "noise"}.get(mode)
+    tag = MODES.get(mode)
     if tag is None:
         raise ValueError(f"unknown pretraining mode: {mode!r}")
     data_dir = Path(data_dir)
     out = {}
-    for split in ("train", "valid", "test"):
+    for split in ("train", "valid"):
         targets = read_corpus(data_dir / f"style_{style_id}.{split}.txt", vocab)
         inputs = read_corpus(data_dir / f"style_{style_id}.{tag}.{split}.src", vocab)
         pairs = [p for p in zip(inputs, targets) if _usable(p, max_len)]
         out[split] = pairs
-    return PairSplits(out["train"], out["valid"], out["test"])
+    return PairSplits(out["train"], out["valid"])
 
 
 def load_task_pairs(data_dir: Path, task_kind: str, vocab: Vocab,
                     max_len: int) -> PairSplits:
     data_dir = Path(data_dir)
     out = {}
-    for split in ("train", "valid", "test"):
+    for split in ("train", "valid"):
         srcs = read_corpus(data_dir / f"task_{task_kind}.{split}.src", vocab)
         tgts = read_corpus(data_dir / f"task_{task_kind}.{split}.tgt", vocab)
         pairs = [p for p in zip(srcs, tgts) if _usable(p, max_len)]
         out[split] = pairs
-    return PairSplits(out["train"], out["valid"], out["test"])
+    return PairSplits(out["train"], out["valid"])
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
-"""Shared oracles: random score tables, exhaustive search, the uncached
-decoder that the incremental one must match, and the elementary-op forward
-that the fused autograd ops must match bit for bit."""
+"""Shared oracles: random score tables, exhaustive search, greedy search as
+the beam-size-1 reference, the uncached decoder that the incremental one
+must match, and the elementary-op forward that the fused autograd ops must
+match bit for bit."""
 
 import hashlib
 
@@ -73,6 +74,22 @@ def full_prefix_step_fn(model, src, vocab):
         return logp
 
     return step
+
+
+def greedy_core(step_fn, bos, eos, max_len):
+    """Reference for beam size 1: the argmax token at every step, raw score."""
+    prefix = [bos]
+    tokens = []
+    score = 0.0
+    for _ in range(max_len):
+        row = step_fn([prefix])[0]
+        tok = int(np.argmax(row))  # first maximum = lowest token id on ties
+        score += float(row[tok])
+        if tok == eos:
+            break
+        tokens.append(tok)
+        prefix.append(tok)
+    return tokens, score
 
 
 def list_beam_core(step_fn, bos, eos, max_len, beam_size, alpha):
@@ -208,9 +225,8 @@ def composed_cache(model, enc_states):
     return mdl.DecodeCache(cross, [(empty, empty)] * len(names))
 
 
-def composed_decode_logits_batch(model, enc_states, src_mask, prefix, use_adapters=True,
-                                 cache=None):
-    if use_adapters and model.adapters is None:
+def composed_decode_logits_batch(model, enc_states, src_mask, prefix, cache=None):
+    if model.adapters is None:
         raise mdl.AdapterError("decoder requires an installed AdapterSet (style-less runs use s0)")
     if cache is not None and ag.grad_enabled():
         raise RuntimeError("decode cache is inference-only; call under autograd.no_grad()")
@@ -237,8 +253,7 @@ def composed_decode_logits_batch(model, enc_states, src_mask, prefix, use_adapte
         y = composed_residual_ln(model, f"dec.{i}.ln2", y, c)
         f = composed_ffn(model, f"dec.{i}.ffn", y)
         y = composed_residual_ln(model, f"dec.{i}.ln3", y, f)
-        if use_adapters:
-            y = composed_adapter_forward(y, model.adapters, i, model.config.ln_eps)
+        y = composed_adapter_forward(y, model.adapters, i, model.config.ln_eps)
     if cache is not None:
         cache.length += t
     return composed_logits(model, y)

@@ -197,26 +197,28 @@ class TestGradCheck:
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=30, deadline=None)
     def test_random_op_pipelines(self, seed):
-        """Random small tensors through each differentiable op stay under 1e-4."""
+        """Random small tensors through each differentiable op stay under 1e-4,
+        probed through matmul's left operand and through its right one."""
         rng = np.random.default_rng(seed)
         # feature dims >= 3: a 2-wide layer norm is degenerate (output is
         # +-gain for any input) and its ~0 gradients drown in FD roundoff
         m, k, n = rng.integers(1, 8), rng.integers(3, 8), rng.integers(3, 8)
-        a = rng.uniform(-2, 2, size=(m, k))
+        a = ag.Tensor(rng.uniform(-2, 2, size=(m, k)))
         b = ag.Tensor(rng.uniform(-2, 2, size=(k, n)))
         gain = ag.Tensor(rng.uniform(0.5, 1.5, size=n))
         bias = ag.Tensor(rng.uniform(-0.5, 0.5, size=n))
         targets = rng.integers(0, n, size=m)
 
-        def f(t):
-            y = ag.matmul(t, b)
+        def f(left, right):
+            y = ag.matmul(left, right)
             y = ag.layer_norm(y, gain, bias, eps=1e-5)
             # keep relu inputs away from the kink so finite differences apply
             y = ag.relu(ag.add(y, ag.Tensor(np.full((m, n), 3.0))))
             y = ag.add(y, ag.mul(y, ag.Tensor(0.5)))
             return ag.cross_entropy(y, targets, ignore_id=-1)
 
-        assert ag.grad_check(f, ag.Tensor(a), eps=1e-5) < 1e-4
+        assert ag.grad_check(lambda t: f(t, b), a, eps=1e-5) < 1e-4
+        assert ag.grad_check(lambda t: f(a, t), b, eps=1e-5) < 1e-4
 
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=20, deadline=None)

@@ -70,6 +70,23 @@ class TestUsage:
         assert capsys.readouterr().err == message
         assert not (tmp_path / "data").exists()
 
+    @pytest.mark.parametrize("setting, message", [
+        ("mode=bogus", "mode must be one of inverse-para, denoise, got 'bogus'"),
+        ("trainable=bogus", "trainable must be one of enc, enc+catt, enc+catt+dec, got 'bogus'"),
+        ("styles=s1,s9", "styles must be one or more distinct names from s1,s2,s3, got 's1,s9'"),
+        ("styles=", "styles must be one or more distinct names from s1,s2,s3, got ''"),
+        ("tasks=headline,headline",
+         "tasks must be one or more distinct names from headline,story, got 'headline,headline'"),
+        ("step1_epochs=0", "step1_epochs must be >= 1, got 0"),
+        ("step2_epochs=0", "step2_epochs must be >= 1, got 0"),
+        ("batch_size=0", "batch_size must be >= 1, got 0"),
+        ("lm_order=0", "lm_order must be >= 1, got 0"),
+        ("lm_k=0", "lm_k must be > 0, got 0.0")])
+    def test_bad_run_setting_exits_1_before_any_work(self, tmp_path, capsys, setting, message):
+        assert run(tmp_path / "w", "--set", setting, "pipeline") == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "w").exists()
+
     def test_vocab_size_is_not_a_setting(self, tmp_path, capsys):
         rc = cli.main(["--workdir", str(tmp_path), "--set", "vocab_size=100", "gen-data"])
         assert rc == 1
@@ -142,7 +159,8 @@ class TestOrdering:
 
     @pytest.mark.parametrize("command", [("train-adapter", "--style", "s0"),
                                          ("train-task", "--task", "headline"),
-                                         ("evaluate", "--task", "headline", "--style", "s1")])
+                                         ("evaluate", "--task", "headline", "--style", "s1"),
+                                         ("generate", "--task", "headline", "--style", "s1")])
     def test_stage_commands_refuse_corpora_made_with_other_settings(self, flow, capsys,
                                                                      command):
         before = tree_digest(flow)
@@ -164,6 +182,18 @@ class TestOrdering:
         err = capsys.readouterr().err
         assert err == "error: loss is nan at step 1 (epoch 1) training 'enc'\n"
         assert not ws.task_model_path("headline", "enc").exists()
+
+    def test_train_adapter_and_train_task_follow_the_config_mode(self, tmp_path):
+        assert run(tmp_path, "gen-data") == 0
+        assert run(tmp_path, "--set", "mode=denoise", "train-adapter", "--style", "s0") == 0
+        assert [p.name for p in (tmp_path / "adapters").iterdir()] == ["s0.denoise.adapter"]
+        assert run(tmp_path, "--set", "mode=denoise", "train-task", "--task", "headline") == 0
+
+    def test_train_task_and_generate_follow_the_config_trainable(self, flow, tmp_path):
+        assert run(flow, "--set", "trainable=enc+catt", "train-task", "--task", "headline") == 0
+        assert (flow / "models/base_headline.enc_catt.ckpt").exists()
+        assert run(flow, "--set", "trainable=enc+catt", "generate", "--task", "headline",
+                   "--style", "s0", "--output", str(tmp_path / "out")) == 0
 
     def test_train_task_requires_s0_adapter(self, tmp_path, capsys):
         assert run(tmp_path, "gen-data") == 0
@@ -230,6 +260,7 @@ class TestGradcheck:
         assert cli.main(["gradcheck"]) == 0
         out = capsys.readouterr().out
         assert "PASS" in out
+        assert "gradcheck: op " not in out
         fused = [line.split()[2:5] for line in out.splitlines()
                  if line.startswith("gradcheck: fused ")]
         inputs = {"project_heads": 3, "attention": 3, "merge_heads": 3, "ffn": 5,

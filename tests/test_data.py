@@ -77,34 +77,34 @@ class TestTaskPairs:
 class TestStylize:
     def test_s1_rule(self):
         plain = [VOCAB.keywords[1], VOCAB.fillers[3]]
-        out = sd.stylize(VOCAB, plain, sd.style_spec(VOCAB, "s1"), np.random.default_rng(0))
+        out = sd.stylize(VOCAB, plain, "s1", np.random.default_rng(0))
         assert len(out) == 5
         assert out[1:3] == plain
         assert all(t in VOCAB.markers["s1"] for t in (out[0], out[3], out[4]))
 
     def test_s2_rule(self):
         plain = [VOCAB.keywords[i] for i in range(5)]
-        out = sd.stylize(VOCAB, plain, sd.style_spec(VOCAB, "s2"), np.random.default_rng(0))
+        out = sd.stylize(VOCAB, plain, "s2", np.random.default_rng(0))
         assert [t for t in out if VOCAB.marker_style(t) is None] == plain
         marker_positions = [i for i, t in enumerate(out) if VOCAB.marker_style(t) == "s2"]
         assert marker_positions == [2, 5]
 
     def test_s3_rule(self):
         plain = [VOCAB.keywords[1], VOCAB.keywords[2]]
-        out = sd.stylize(VOCAB, plain, sd.style_spec(VOCAB, "s3"), np.random.default_rng(0))
+        out = sd.stylize(VOCAB, plain, "s3", np.random.default_rng(0))
         assert len(out) == 5
         assert VOCAB.marker_style(out[0]) == "s3" and VOCAB.marker_style(out[-1]) == "s3"
         assert out[1:4] == [plain[0], plain[1], plain[1]]
 
     def test_marker_input_rejected(self):
         with pytest.raises(ValueError, match="marker"):
-            sd.stylize(VOCAB, [VOCAB.markers["s1"][0]], sd.style_spec(VOCAB, "s1"),
+            sd.stylize(VOCAB, [VOCAB.markers["s1"][0]], "s1",
                        np.random.default_rng(0))
 
     @given(plain_sentences(), st.sampled_from(sd.STYLES), st.integers(0, 2**31))
     @settings(max_examples=80, deadline=None)
     def test_marker_removal_recovers_content(self, plain, style, seed):
-        out = sd.stylize(VOCAB, plain, sd.style_spec(VOCAB, style),
+        out = sd.stylize(VOCAB, plain, style,
                          np.random.default_rng(seed))
         content = [t for t in out if VOCAB.marker_style(t) is None]
         if style in ("s1", "s2"):
@@ -132,11 +132,10 @@ class TestNoise:
 
     def test_marker_survival_monte_carlo(self):
         rng = np.random.default_rng(123)
-        spec = sd.style_spec(VOCAB, "s1")
         survived = total = 0
         for _ in range(10_000):
             plain = sd._plain_sentence(VOCAB, rng)
-            styled = sd.stylize(VOCAB, plain, spec, rng)
+            styled = sd.stylize(VOCAB, plain, "s1", rng)
             noised = sd.noise_gn(VOCAB, styled, 0.15, 0.10, rng)
             total += marker_count(styled)
             survived += marker_count(noised)
@@ -150,7 +149,7 @@ class TestStrip:
     @settings(max_examples=80, deadline=None)
     def test_output_always_marker_free_and_keywords_preserved(self, plain, style, seed):
         rng = np.random.default_rng(seed)
-        styled = sd.stylize(VOCAB, plain, sd.style_spec(VOCAB, style), rng)
+        styled = sd.stylize(VOCAB, plain, style, rng)
         stripped = sd.strip_style_gp(VOCAB, styled, rng)
         assert marker_count(stripped) == 0
         assert VOCAB.keyword_subsequence(stripped) == VOCAB.keyword_subsequence(plain)
@@ -162,7 +161,7 @@ class TestStrip:
         for i in range(1000):
             style = sd.STYLES[i % 3]
             styled = sd.stylize(VOCAB, sd._plain_sentence(VOCAB, rng),
-                                sd.style_spec(VOCAB, style), rng)
+                                style, rng)
             if marker_count(sd.strip_style_gp(VOCAB, styled, rng)) > 0:
                 hits += 1
         assert hits == 0

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from helpers import (BOS, EOS, exhaustive_best, full_prefix_step_fn, list_beam_core,
-                     table_step_fn)
+from helpers import (BOS, EOS, exhaustive_best, full_prefix_step_fn, greedy_core,
+                     list_beam_core, table_step_fn)
 from styleswap import autograd as ag
 from styleswap import data as sd
 from styleswap import decoding as dec
@@ -41,20 +41,20 @@ def coarse_table_step_fn(seed, vocab_size):
 
 
 class TestCores:
-    def test_greedy_follows_argmax_trace(self):
+    def test_beam1_follows_argmax_trace(self):
         # 3-token vocab (bos, eos, a): argmax path is a, a, eos
         rows = [
             [-np.inf, np.log(0.2), np.log(0.8)],
             [-np.inf, np.log(0.4), np.log(0.6)],
             [-np.inf, np.log(0.9), np.log(0.1)],
         ]
-        tokens, score = dec.greedy_core(fixed_table(rows), BOS, EOS, 3)
+        tokens, score = dec.beam_core(fixed_table(rows), BOS, EOS, 3, 1, 0.0)
         assert tokens == [2, 2]
         assert np.isclose(score, np.log(0.8) + np.log(0.6) + np.log(0.9))
 
-    def test_greedy_tie_breaks_to_lowest_id(self):
+    def test_beam1_tie_breaks_to_lowest_id(self):
         rows = [[-np.inf, np.log(0.5), np.log(0.5)]]
-        tokens, _ = dec.greedy_core(fixed_table(rows), BOS, EOS, 1)
+        tokens, _ = dec.beam_core(fixed_table(rows), BOS, EOS, 1, 1, 0.0)
         assert tokens == []  # EOS (id 1) wins the tie against id 2
 
     def test_beam_matches_exhaustive_on_handcrafted_table(self):
@@ -88,7 +88,7 @@ class TestCores:
     @pytest.mark.parametrize("seed", range(25))
     def test_beam1_equals_greedy(self, seed):
         fn = table_step_fn(seed + 900, 4)
-        g_tokens, g_score = dec.greedy_core(fn, BOS, EOS, 5)
+        g_tokens, g_score = greedy_core(fn, BOS, EOS, 5)
         b_tokens, b_score = dec.beam_core(fn, BOS, EOS, 5, 1, 0.0)
         assert g_tokens == b_tokens
         assert np.isclose(g_score, b_score)
@@ -191,10 +191,11 @@ class TestModelDecoding:
     def test_beam1_equals_greedy_on_model(self, tiny_setup):
         vocab, model, adapters = tiny_setup
         x = [vocab.keywords[0], vocab.fillers[3], vocab.keywords[9]]
-        g = dec.greedy(model, adapters, x, dec.DecodeConfig(max_out_len=8), vocab)
         b = dec.beam_search(model, adapters, x, dec.DecodeConfig(beam_size=1, max_out_len=8), vocab)
-        assert g.tokens == b.tokens
-        assert np.isclose(g.score, b.score)
+        g_tokens, g_score = greedy_core(dec.model_step_fn(model, x, vocab), vocab.bos,
+                                        vocab.eos, 8)
+        assert g_tokens == b.tokens
+        assert np.isclose(g_score, b.score)
 
     def test_deterministic_across_calls(self, tiny_setup):
         vocab, model, adapters = tiny_setup
@@ -319,8 +320,10 @@ class TestIncrementalDecoding:
             want = list_beam_core(ref, vocab.bos, vocab.eos, max_out_len, 4, alpha)
             assert got.tokens == want[0]
             assert abs(got.score - want[1]) < 1e-9
-            got = dec.greedy(model, adapters, pair.x, cfg, vocab)
-            want = dec.greedy_core(ref, vocab.bos, vocab.eos, max_out_len)
+            got = dec.beam_search(model, adapters, pair.x,
+                                  dec.DecodeConfig(beam_size=1, max_out_len=max_out_len,
+                                                   length_penalty=0.0), vocab)
+            want = greedy_core(ref, vocab.bos, vocab.eos, max_out_len)
             assert got.tokens == want[0]
             assert abs(got.score - want[1]) < 1e-9
 

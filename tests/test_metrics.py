@@ -102,11 +102,9 @@ class TestPerplexity:
 
     def test_style_lm_separates_styles_on_1k_corpora(self):
         rng = np.random.default_rng(5)
-        spec1 = sd.style_spec(VOCAB, "s1")
-        spec2 = sd.style_spec(VOCAB, "s2")
-        s1 = [sd.stylize(VOCAB, sd._plain_sentence(VOCAB, rng), spec1, rng)
+        s1 = [sd.stylize(VOCAB, sd._plain_sentence(VOCAB, rng), "s1", rng)
               for _ in range(1000)]
-        s2 = [sd.stylize(VOCAB, sd._plain_sentence(VOCAB, rng), spec2, rng)
+        s2 = [sd.stylize(VOCAB, sd._plain_sentence(VOCAB, rng), "s2", rng)
               for _ in range(1000)]
         lm1 = mx.train_ngram_lm(s1[:800], order=2, k=0.1, vocab=VOCAB, tag="s1")
         assert mx.perplexity(lm1, s1[800:]) < mx.perplexity(lm1, s2[800:])
@@ -115,8 +113,7 @@ class TestPerplexity:
 class TestMarkerRate:
     def test_fully_stylized_corpus(self):
         rng = np.random.default_rng(1)
-        spec = sd.style_spec(VOCAB, "s1")
-        lines = [sd.stylize(VOCAB, sd._plain_sentence(VOCAB, rng), spec, rng)
+        lines = [sd.stylize(VOCAB, sd._plain_sentence(VOCAB, rng), "s1", rng)
                  for _ in range(50)]
         assert mx.style_marker_rate(lines, "s1", VOCAB) == 1.0
         assert mx.style_marker_rate(lines, "s2", VOCAB) == 0.0
@@ -129,8 +126,7 @@ class TestMarkerRate:
 
     def test_mixed_corpus_is_half(self):
         rng = np.random.default_rng(2)
-        spec = sd.style_spec(VOCAB, "s3")
-        styled = [sd.stylize(VOCAB, sd._plain_sentence(VOCAB, rng), spec, rng)
+        styled = [sd.stylize(VOCAB, sd._plain_sentence(VOCAB, rng), "s3", rng)
                   for _ in range(25)]
         plain = [sd._plain_sentence(VOCAB, rng) for _ in range(25)]
         assert mx.style_marker_rate(styled + plain, "s3", VOCAB) == 0.5
@@ -150,8 +146,7 @@ def build_lms(rng):
     plain_lm = mx.train_ngram_lm(plain, 2, 0.1, VOCAB, tag="plain")
     style_lms = {}
     for style in sd.STYLES:
-        spec = sd.style_spec(VOCAB, style)
-        styled = [sd.stylize(VOCAB, sd._plain_sentence(VOCAB, rng), spec, rng)
+        styled = [sd.stylize(VOCAB, sd._plain_sentence(VOCAB, rng), style, rng)
                   for _ in range(300)]
         style_lms[style] = mx.train_ngram_lm(styled, 2, 0.1, VOCAB, tag=style)
     return plain_lm, style_lms
@@ -170,8 +165,7 @@ class TestEvaluateRun:
         rng = np.random.default_rng(4)
         plain_lm, style_lms = build_lms(rng)
         for style in sd.STYLES:
-            spec = sd.style_spec(VOCAB, style)
-            stylized = [sd.stylize(VOCAB, sd._plain_sentence(VOCAB, rng), spec, rng)
+            stylized = [sd.stylize(VOCAB, sd._plain_sentence(VOCAB, rng), style, rng)
                         for _ in range(100)]
             plain = [sd._plain_sentence(VOCAB, rng) for _ in range(100)]
             assert (mx.perplexity(style_lms[style], plain)
