@@ -64,6 +64,7 @@ __all__ = [
     "scaled_embedding",
     "tied_logits",
     "backward",
+    "relu_inputs",
     "grad_check",
 ]
 
@@ -527,17 +528,8 @@ def tied_logits(x: Tensor, weight: Tensor) -> Tensor:
 # backward pass and the finite-difference oracle
 
 
-def backward(loss: Tensor) -> None:
-    """Populate .grad on every reachable requires_grad leaf.
-
-    Walks the recorded entries in reverse creation order, which is a reverse
-    topological order by construction, so each entry is processed once.
-    """
-    if loss.data.size != 1:
-        raise ValueError(f"backward: loss must be scalar, got shape {loss.data.shape}")
-    if not loss.requires_grad:
-        return
-
+def _tape(loss: Tensor) -> list[Tensor]:
+    """The recorded entries that loss depends on, newest first."""
     nodes: list[Tensor] = []
     seen = set()
     stack = [loss]
@@ -549,9 +541,22 @@ def backward(loss: Tensor) -> None:
         nodes.append(node)
         stack.extend(p for p in node._parents if p.requires_grad)
     nodes.sort(key=lambda t: t._id, reverse=True)
+    return nodes
+
+
+def backward(loss: Tensor) -> None:
+    """Populate .grad on every reachable requires_grad leaf.
+
+    Walks the recorded entries in reverse creation order, which is a reverse
+    topological order by construction, so each entry is processed once.
+    """
+    if loss.data.size != 1:
+        raise ValueError(f"backward: loss must be scalar, got shape {loss.data.shape}")
+    if not loss.requires_grad:
+        return
 
     flowing: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    for node in nodes:
+    for node in _tape(loss):
         g = flowing.pop(id(node), None)
         if g is None:
             continue
@@ -571,6 +576,25 @@ def backward(loss: Tensor) -> None:
                 flowing[id(parent)] = np.array(pg) if (pg is g or pg.ndim == 0) else pg
             else:
                 acc += pg
+
+
+def relu_inputs(loss: Tensor, ln_eps: float) -> list[np.ndarray]:
+    """The relu inputs of the `ffn` and `adapter` nodes on loss's tape, in creation order.
+
+    The tape holds only the nodes downstream of a tensor that requires
+    grad: a superset of the relus whose inputs that tensor can move.
+    `ln_eps` is the adapters' layer-norm epsilon.
+    """
+    pres = []
+    for node in reversed(_tape(loss)):
+        if node._op == "ffn" and node._parents:
+            x, w1, b1 = (t.data for t in node._parents[:3])
+            pres.append(x.reshape(-1, w1.shape[0]) @ w1 + b1)
+        elif node._op == "adapter" and node._parents:
+            z, ln_g, ln_b, w_down = (t.data for t in node._parents[:4])
+            zn = _ln_forward(z, ln_g, ln_b, ln_eps)[0]
+            pres.append(zn.reshape(-1, w_down.shape[0]) @ w_down)
+    return pres
 
 
 def grad_check(f: Callable[[Tensor], Tensor], w: Tensor, eps: float = 1e-5) -> float:

@@ -217,17 +217,24 @@ def cmd_generate(cfg: RunConfig, ws: Workspace, task: str, style: str,
     return 0
 
 
-def _style_lms(cfg: RunConfig, ws: Workspace, vocab: Vocab) -> dict[str, mx.NgramLM]:
-    lms = {}
-    for style in STYLES:
-        corpus = read_corpus(ws.data / f"style_{style}.train.txt", vocab)
-        lms[style] = mx.train_ngram_lm(corpus, cfg.lm_order, cfg.lm_k, vocab, tag=style)
-    return lms
+MetricLMs = tuple[mx.NgramLM, dict[str, mx.NgramLM]]
+
+
+def metric_lms(cfg: RunConfig, ws: Workspace, task: str) -> MetricLMs:
+    """The LMs that evaluate scores a task with: plain (task targets) and one per style."""
+    vocab = Vocab()
+    plain = mx.train_ngram_lm(read_corpus(ws.data / f"task_{task}.train.tgt", vocab),
+                              cfg.lm_order, cfg.lm_k, vocab, tag="plain")
+    styled = {style: mx.train_ngram_lm(read_corpus(ws.data / f"style_{style}.train.txt", vocab),
+                                       cfg.lm_order, cfg.lm_k, vocab, tag=style)
+              for style in STYLES}
+    return plain, styled
 
 
 def cmd_evaluate(cfg: RunConfig, ws: Workspace, task: str, style: str,
                  variant: str = "", outputs_file: Path | None = None,
-                 trainable: str | None = None) -> int:
+                 trainable: str | None = None, lms: MetricLMs | None = None) -> int:
+    """Score one output file; `lms` are the task's `metric_lms`, fitted here if None."""
     _require_data(cfg, ws)
     vocab = Vocab()
     out_path = Path(outputs_file) if outputs_file else ws.output_path(task, style, variant)
@@ -238,14 +245,13 @@ def cmd_evaluate(cfg: RunConfig, ws: Workspace, task: str, style: str,
     if len(outputs) != len(references):
         raise CliError(f"{out_path}: {len(outputs)} outputs vs "
                        f"{len(references)} references")
-    plain_lm = mx.train_ngram_lm(read_corpus(ws.data / f"task_{task}.train.tgt", vocab),
-                                 cfg.lm_order, cfg.lm_k, vocab, tag="plain")
+    plain_lm, style_lms = lms or metric_lms(cfg, ws, task)
     embeddings = None
     model_path = ws.task_model_path(task, trainable or cfg.trainable, variant)
     if model_path.exists():
         embeddings = store.load_checkpoint(model_path).params["emb.tok"].data
-    report = mx.evaluate_run(outputs, references, plain_lm,
-                             _style_lms(cfg, ws, vocab), vocab, embeddings=embeddings)
+    report = mx.evaluate_run(outputs, references, plain_lm, style_lms, vocab,
+                             embeddings=embeddings)
     report_path = ws.report_path(task, style, variant)
     mx.write_report(report, report_path)
     markers = " ".join(f"marker.{s}={report.marker[s]:.3f}" for s in STYLES)
@@ -265,9 +271,10 @@ def cmd_pipeline(cfg: RunConfig, ws: Workspace) -> int:
     for task in cfg.tasks:
         cmd_train_task(cfg, ws, task, cfg.trainable)
     for task in cfg.tasks:
+        lms = metric_lms(cfg, ws, task)
         for style in (STYLELESS,) + tuple(cfg.styles):
             cmd_generate(cfg, ws, task, style)
-            cmd_evaluate(cfg, ws, task, style)
+            cmd_evaluate(cfg, ws, task, style, lms=lms)
     print(f"pipeline: done in {time.time() - started:.0f}s "
           f"({len(cfg.tasks)} tasks x {len(cfg.styles) + 1} adapter sets)")
     return 0
@@ -283,15 +290,16 @@ def cmd_ablate(cfg: RunConfig, ws: Workspace, task: str) -> int:
             if not ws.adapter_path(style, mode).exists():
                 cmd_train_adapter(cfg, ws, style, mode)
     rows = []
+    lms = metric_lms(cfg, ws, task)
     for mode in training.MODES:
         for sel in mdl.SELECTORS:
             variant = f"ablate-{mode}"
             cmd_train_task(cfg, ws, task, sel, variant=variant, s0_mode=mode)
-            row = _ablate_row(cfg, ws, task, sel, mode, variant)
+            row = _ablate_row(cfg, ws, task, sel, mode, variant, lms)
             rows.append((f"{mode}/{sel}", row))
     cmd_train_task(cfg, ws, task, "enc", fresh_s0=True, variant="ablate-nos0")
     rows.append(("no-s0/enc", _ablate_row(cfg, ws, task, "enc", "inverse-para",
-                                          "ablate-nos0")))
+                                          "ablate-nos0", lms)))
     table_path = ws.reports / f"ablation_{task}.txt"
     header = f"{'cell':24s} {'r1':>6s} {'rl':>6s} " + " ".join(
         f"marker.{s:>2s}" for s in cfg.styles)
@@ -306,12 +314,12 @@ def cmd_ablate(cfg: RunConfig, ws: Workspace, task: str) -> int:
 
 
 def _ablate_row(cfg: RunConfig, ws: Workspace, task: str, trainable: str,
-                mode: str, variant: str) -> mx.MetricsReport:
+                mode: str, variant: str, lms: MetricLMs) -> mx.MetricsReport:
     """One grid cell: style-less quality metrics + per-style matched marker rates."""
     vocab = Vocab()
     cmd_generate(cfg, ws, task, STYLELESS, mode="inverse-para", trainable=trainable,
                  variant=variant)
-    cmd_evaluate(cfg, ws, task, STYLELESS, variant=variant, trainable=trainable)
+    cmd_evaluate(cfg, ws, task, STYLELESS, variant=variant, trainable=trainable, lms=lms)
     row = mx.read_report(ws.report_path(task, STYLELESS, variant))
     for style in cfg.styles:
         cmd_generate(cfg, ws, task, style, mode=mode, trainable=trainable,
@@ -368,10 +376,12 @@ def _fused_op_checks(rng: np.random.Generator) -> float:
 _DECODER_STEP_TENSORS = ("adapter.0.ln_g", "adapter.1.ln_b", "adapter.0.w_down",
                          "adapter.1.w_up", "enc.0.self.wq", "dec.1.ln1.g",
                          "dec.0.catt.bv", "dec.1.ffn.b1")
+_GRAD_CHECK_STEP = 1e-5  # ag.grad_check's default central-difference step
+_MAX_DRAWS = 100
 
 
-def _decoder_step_check(rng: np.random.Generator) -> float:
-    """grad_check of a full decoder-step loss with respect to whole parameter tensors."""
+def _decoder_step_instance(rng: np.random.Generator):
+    """A tiny model with s1 adapters of non-zero up-projection, and one batch."""
     vocab = Vocab()
     cfg = mdl.ModelConfig(vocab_size=len(vocab), d_model=8, n_heads=2, d_ffn=12,
                           n_enc_layers=1, n_dec_layers=2, adapter_bottleneck=2,
@@ -386,27 +396,71 @@ def _decoder_step_check(rng: np.random.Generator) -> float:
     src = rng.integers(4, len(vocab), size=(2, 5))
     dec_in = rng.integers(4, len(vocab), size=(2, 4))
     dec_tgt = rng.integers(4, len(vocab), size=(2, 4))
+    return model, src, dec_in, dec_tgt
 
-    worst = 0.0
-    for name in _DECODER_STEP_TENSORS:
-        if name.startswith("adapter."):
-            _, i, key = name.split(".")
-            slots = adapters.layers[int(i)]
-        else:
-            slots, key = model.params, name
-        original = slots[key]
 
-        def loss(probe: ag.Tensor) -> ag.Tensor:
-            slots[key] = probe
+def _probed_loss(instance, name: str):
+    """(loss of the instance as a function of tensor `name`, that tensor's value)."""
+    model, src, dec_in, dec_tgt = instance
+    if name.startswith("adapter."):
+        _, i, key = name.split(".")
+        slots = model.adapters.layers[int(i)]
+    else:
+        slots, key = model.params, name
+    original = slots[key]
+
+    def loss(probe: ag.Tensor) -> ag.Tensor:
+        slots[key] = probe
+        try:
             enc = mdl.encode_batch(model, src, None)
             logits = mdl.decode_logits_batch(model, enc, None, dec_in)
-            return ag.cross_entropy(ag.reshape(logits, (8, len(vocab))), dec_tgt.ravel(),
-                                    ignore_id=-1)
-
-        try:
-            err = ag.grad_check(loss, original)
+            return ag.cross_entropy(ag.reshape(logits, (dec_tgt.size, logits.shape[-1])),
+                                    dec_tgt.ravel(), ignore_id=-1)
         finally:
             slots[key] = original
+
+    return loss, original
+
+
+def _probes_cross_a_kink(instance) -> bool:
+    """Whether some grad_check probe flips the sign of some relu input.
+
+    A central difference across a relu kink measures neither side's slope,
+    so grad_check would report an error the gradient does not have.
+    """
+    ln_eps = instance[0].config.ln_eps
+    for name in _DECODER_STEP_TENSORS:
+        loss, original = _probed_loss(instance, name)
+        probe = ag.Tensor(original.data.copy(), requires_grad=True)
+        signs = [pre > 0 for pre in ag.relu_inputs(loss(probe), ln_eps)]
+        flat = probe.data.reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            for step in (_GRAD_CHECK_STEP, -_GRAD_CHECK_STEP):
+                flat[i] = orig + step
+                moved = ag.relu_inputs(loss(probe), ln_eps)
+                flat[i] = orig
+                if not all(np.array_equal(pre > 0, s) for pre, s in zip(moved, signs)):
+                    return True
+    return False
+
+
+def _decoder_step_check(rng: np.random.Generator) -> float:
+    """grad_check of a full decoder-step loss with respect to whole parameter tensors.
+
+    Instances are drawn from rng until no probe crosses a relu kink, so the
+    outcome depends on the gradients alone.
+    """
+    for _ in range(_MAX_DRAWS):
+        instance = _decoder_step_instance(rng)
+        if not _probes_cross_a_kink(instance):
+            break
+    else:
+        raise CliError(f"gradcheck: no kink-free instance in {_MAX_DRAWS} draws")
+    worst = 0.0
+    for name in _DECODER_STEP_TENSORS:
+        loss, original = _probed_loss(instance, name)
+        err = ag.grad_check(loss, original, _GRAD_CHECK_STEP)
         print(f"gradcheck: decoder-step {name:16s} max_rel_err {err:.3e}")
         worst = max(worst, err)
     return worst

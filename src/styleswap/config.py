@@ -32,6 +32,10 @@ from .model import SELECTORS, ModelConfig
 from .training import MODES, Hyper
 
 
+# The smallest corpus whose 90/5/5 split leaves valid and test non-empty.
+MIN_CORPUS = 20
+
+
 @dataclass(frozen=True)
 class RunConfig:
     preset: str = "toy"
@@ -69,6 +73,10 @@ class RunConfig:
         for key in ("step1_epochs", "step2_epochs", "lm_order"):
             if getattr(self, key) < 1:
                 raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
+        for key in ("n_task", "n_style"):
+            if getattr(self, key) < MIN_CORPUS:
+                raise ValueError(f"{key} must be >= {MIN_CORPUS} so that every split is "
+                                 f"non-empty, got {getattr(self, key)}")
         if not self.lm_k > 0:  # also rejects nan
             raise ValueError(f"lm_k must be > 0, got {self.lm_k}")
 

@@ -20,6 +20,16 @@ at all; only the keyword subsequence survives.
 
 All generators are pure functions of (seed, sizes); corpus files hold one
 sequence per line as space-separated token names.
+
+Corpora are byte-stable for fixed inputs, so the kind and order of every
+random draw is part of the format. The generators draw the stream of the
+per-token `Generator.choice` calls they replaced, which tests/helpers.py
+keeps as the oracle, using two identities of numpy's Generator:
+`choice(seq)` equals `seq[integers(0, len(seq))]` (one `integers` draw),
+and a vector `random(n)` equals n scalar `random()` draws. Sampling without
+replacement stays `choice(..., replace=False)`, because no cheaper call
+reproduces its final shuffle. Reordering draws or changing their kind
+changes every corpus; the oracle tests in test_data.py catch it.
 """
 
 from __future__ import annotations
@@ -120,13 +130,13 @@ def _plain_sentence(vocab: Vocab, rng: np.random.Generator) -> list[int]:
 
 
 def _interleave(vocab: Vocab, rng: np.random.Generator, n_k: int, n_f: int) -> list[int]:
-    keywords = rng.choice(len(vocab.keywords), size=n_k, replace=False)
-    fillers = rng.choice(len(vocab.fillers), size=n_f, replace=True)
+    keywords = rng.choice(len(vocab.keywords), size=n_k, replace=False).tolist()
+    fillers = rng.integers(0, len(vocab.fillers), size=n_f).tolist()
     total = n_k + n_f
     slots = np.zeros(total, dtype=bool)
     slots[rng.choice(total, size=n_k, replace=False)] = True
     out, ki, fi = [], 0, 0
-    for is_keyword in slots:
+    for is_keyword in slots.tolist():
         if is_keyword:
             out.append(vocab.keywords[keywords[ki]])
             ki += 1
@@ -174,7 +184,11 @@ def stylize(vocab: Vocab, plain: list[int], style_id: str,
     """Apply a style's decoration rule; never removes content tokens."""
     if any(vocab.marker_style(t) for t in plain):
         raise ValueError("stylize: input already contains marker tokens")
-    pick = lambda: int(rng.choice(vocab.markers[style_id]))
+
+    def pick():
+        markers = vocab.markers[style_id]
+        return markers[int(rng.integers(0, len(markers)))]
+
     if style_id == "s1":
         return [pick()] + list(plain) + [pick(), pick()]
     if style_id == "s2":
@@ -201,8 +215,7 @@ def noise_gn(vocab: Vocab, t: list[int], mask_rate: float, delete_rate: float,
     if mask_rate + delete_rate >= 1.0:
         raise ValueError("mask_rate + delete_rate must be < 1")
     out = []
-    for tok in t:
-        u = rng.random()
+    for tok, u in zip(t, rng.random(len(t)).tolist()):
         if u < mask_rate:
             out.append(vocab.mask)
         elif u < mask_rate + delete_rate:
@@ -223,10 +236,9 @@ def strip_style_gp(vocab: Vocab, t: list[int], rng: np.random.Generator) -> list
     last_k = max((i for i, tok in enumerate(out) if vocab.is_keyword(tok)), default=None)
     if last_k is not None and last_k > 0 and out[last_k - 1] == out[last_k]:
         del out[last_k]
-    out = [
-        int(rng.choice(vocab.fillers)) if vocab.is_filler(tok) else tok
-        for tok in out
-    ]
+    fillers = vocab.fillers
+    out = [fillers[int(rng.integers(0, len(fillers)))] if vocab.is_filler(tok) else tok
+           for tok in out]
     i = 0
     while i < len(out) - 1:
         if vocab.is_filler(out[i]) and vocab.is_filler(out[i + 1]):

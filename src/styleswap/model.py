@@ -6,11 +6,13 @@ fixed sinusoidal positions. One adapter (layer norm, down-projection,
 relu, up-projection, residual) sits after the feed-forward block of every
 decoder layer; the whole per-style set swaps in and out as a unit.
 
-Parameters live in a flat name -> Tensor registry. Every base parameter
-belongs to exactly one group (enc, dec-self, dec-catt, dec-other), which
-is what the training stages use to express freeze policies. The token
-embedding joins the enc group: this model trains from scratch, so the
-task stage must be able to move the (tied) output head.
+Parameters live in a flat name -> Tensor registry whose names, order,
+shapes, groups and initial draws come from one table, `param_layout`;
+`build_model` draws it and checkpoint loads fill it from arrays. Every
+base parameter belongs to exactly one group (enc, dec-self, dec-catt,
+dec-other), which is what the training stages use to express freeze
+policies. The token embedding joins the enc group: this model trains from
+scratch, so the task stage must be able to move the (tied) output head.
 
 Every sublayer is one fused autograd op (see `autograd`): head projection,
 attention, head merge, feed-forward, residual plus layer norm, adapter,
@@ -156,42 +158,31 @@ def lineage_fingerprint(config: ModelConfig, params: dict[str, Tensor]) -> str:
     return digest.hexdigest()
 
 
-def build_model(config: ModelConfig) -> Model:
-    """Deterministically initialize the base network from config.seed."""
-    rng = np.random.default_rng(config.seed)
-    h, f, v = config.d_model, config.d_ffn, config.vocab_size
-    params: dict[str, Tensor] = {}
-    groups: dict[str, str] = {}
+def param_layout(config: ModelConfig) -> list[tuple[str, str, tuple[int, ...], float | str]]:
+    """Every base parameter in registry order: (name, group, shape, init).
 
-    def param(name: str, group: str, shape: tuple[int, ...], std: float | None):
-        if std is None:
-            data = np.zeros(shape)
-        elif std == 0.0:
-            data = np.ones(shape)
-        else:
-            data = rng.normal(0.0, std, size=shape)
-        params[name] = Tensor(data, requires_grad=True)
-        groups[name] = group
+    init is "zeros", "ones" or the standard deviation of a zero-mean normal
+    draw; `build_model` draws the normals from one stream in this order.
+    """
+    h, f, v = config.d_model, config.d_ffn, config.vocab_size
+    layout = []
 
     def attn_block(prefix: str, group: str):
         std = (2.0 / (h + h)) ** 0.5
-        for w in ("wq", "wk", "wv", "wo"):
-            param(f"{prefix}.{w}", group, (h, h), std)
+        layout.extend((f"{prefix}.{w}", group, (h, h), std) for w in ("wq", "wk", "wv", "wo"))
         # no key bias: softmax scores are invariant to it (zero gradient)
-        for b in ("bq", "bv", "bo"):
-            param(f"{prefix}.{b}", group, (h,), None)
+        layout.extend((f"{prefix}.{b}", group, (h,), "zeros") for b in ("bq", "bv", "bo"))
 
     def ffn_block(prefix: str, group: str):
-        param(f"{prefix}.w1", group, (h, f), (2.0 / (h + f)) ** 0.5)
-        param(f"{prefix}.b1", group, (f,), None)
-        param(f"{prefix}.w2", group, (f, h), (2.0 / (f + h)) ** 0.5)
-        param(f"{prefix}.b2", group, (h,), None)
+        layout.extend([(f"{prefix}.w1", group, (h, f), (2.0 / (h + f)) ** 0.5),
+                       (f"{prefix}.b1", group, (f,), "zeros"),
+                       (f"{prefix}.w2", group, (f, h), (2.0 / (f + h)) ** 0.5),
+                       (f"{prefix}.b2", group, (h,), "zeros")])
 
     def ln_block(prefix: str, group: str):
-        param(f"{prefix}.g", group, (h,), 0.0)
-        param(f"{prefix}.b", group, (h,), None)
+        layout.extend([(f"{prefix}.g", group, (h,), "ones"), (f"{prefix}.b", group, (h,), "zeros")])
 
-    param("emb.tok", "enc", (v, h), h ** -0.5)
+    layout.append(("emb.tok", "enc", (v, h), h ** -0.5))
     for i in range(config.n_enc_layers):
         attn_block(f"enc.{i}.self", "enc")
         ln_block(f"enc.{i}.ln1", "enc")
@@ -204,8 +195,33 @@ def build_model(config: ModelConfig) -> Model:
         ln_block(f"dec.{i}.ln2", "dec-catt")
         ffn_block(f"dec.{i}.ffn", "dec-other")
         ln_block(f"dec.{i}.ln3", "dec-other")
+    return layout
 
-    return Model(config, params, groups, lineage_fingerprint(config, params))
+
+def model_from_arrays(config: ModelConfig, arrays: dict[str, np.ndarray], base_id: str) -> Model:
+    """A model whose parameters are `arrays` (taken, not copied), in layout order.
+
+    `arrays` must hold exactly the layout's names at the layout's shapes.
+    """
+    layout = param_layout(config)
+    params = {name: Tensor(arrays[name], requires_grad=True) for name, *_ in layout}
+    return Model(config, params, {name: group for name, group, *_ in layout}, base_id)
+
+
+def build_model(config: ModelConfig) -> Model:
+    """Deterministically initialize the base network from config.seed."""
+    rng = np.random.default_rng(config.seed)
+    arrays = {}
+    for name, _, shape, init in param_layout(config):
+        if init == "zeros":
+            arrays[name] = np.zeros(shape)
+        elif init == "ones":
+            arrays[name] = np.ones(shape)
+        else:
+            arrays[name] = rng.normal(0.0, init, size=shape)
+    model = model_from_arrays(config, arrays, "")
+    model.base_id = lineage_fingerprint(config, model.params)
+    return model
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ import numpy as np
 
 from .autograd import Tensor
 from .model import (ADAPTER_KEYS, AdapterError, AdapterSet, Model, ModelConfig,
-                    build_model, swap_adapters)
+                    model_from_arrays, param_layout, swap_adapters)
 
 CKPT_MAGIC = b"SSWP"
 ADAPTER_MAGIC = b"SSWA"
@@ -161,24 +161,19 @@ def load_checkpoint(path: Path) -> Model:
                          "rebuild the file")
     config = ModelConfig(**reader.header["config"])
     stored = reader.records()
-    model = build_model(config)
-    _check_names(path, "parameter", stored, model.params)
-    for name, arr in stored.items():
-        want = model.params[name].shape
-        if arr.shape != want:
-            raise StoreError(f"{path}: record {name!r} shaped {arr.shape}, expected {want}")
-        model.params[name].data[:] = arr
-    model.base_id = reader.header["base_id"]
-    return model
+    layout = param_layout(config)
+    _check_names(path, "parameter", stored, [name for name, *_ in layout])
+    for name, _, want, _ in layout:
+        if stored[name].shape != want:
+            raise StoreError(f"{path}: record {name!r} shaped {stored[name].shape}, "
+                             f"expected {want}")
+    return model_from_arrays(config, stored, reader.header["base_id"])
 
 
 def clone_model(model: Model) -> Model:
     """Independent copy of the base (same lineage); adapter slot left empty."""
-    twin = build_model(model.config)
-    for name, t in model.params.items():
-        twin.params[name].data[:] = t.data
-    twin.base_id = model.base_id
-    return twin
+    return model_from_arrays(model.config, {n: t.data.copy() for n, t in model.params.items()},
+                             model.base_id)
 
 
 # ---------------------------------------------------------------------------

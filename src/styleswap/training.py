@@ -40,8 +40,17 @@ class Hyper:
     log_path: Path | None = None
 
     def __post_init__(self):
-        if self.batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        for key in ("batch_size", "patience"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
+        for key in ("lr", "adam_eps"):
+            if not getattr(self, key) > 0:  # also rejects nan
+                raise ValueError(f"{key} must be > 0, got {getattr(self, key)}")
+        for key in ("beta1", "beta2"):
+            if not 0 <= getattr(self, key) < 1:
+                raise ValueError(f"{key} must be in [0, 1), got {getattr(self, key)}")
+        if not self.weight_decay >= 0:
+            raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
 
 
 class AdamW:

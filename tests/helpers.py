@@ -1,7 +1,8 @@
 """Shared oracles: random score tables, exhaustive search, greedy search as
 the beam-size-1 reference, the uncached decoder that the incremental one
-must match, and the elementary-op forward that the fused autograd ops must
-match bit for bit."""
+must match, the elementary-op forward that the fused autograd ops must
+match bit for bit, and the per-token-`choice` corpus generators whose
+random stream and output the fast ones must reproduce exactly."""
 
 import hashlib
 
@@ -257,3 +258,89 @@ def composed_decode_logits_batch(model, enc_states, src_mask, prefix, cache=None
     if cache is not None:
         cache.length += t
     return composed_logits(model, y)
+
+
+# ---------------------------------------------------------------------------
+# The corpus generators' draws as `Generator.choice` calls, one per token: the
+# oracle that `data`'s generators must match in output and in the random
+# stream they leave behind. Swap them into `data` with `ORACLE_GENERATORS`.
+
+
+def choice_interleave(vocab, rng, n_k, n_f):
+    keywords = rng.choice(len(vocab.keywords), size=n_k, replace=False)
+    fillers = rng.choice(len(vocab.fillers), size=n_f, replace=True)
+    total = n_k + n_f
+    slots = np.zeros(total, dtype=bool)
+    slots[rng.choice(total, size=n_k, replace=False)] = True
+    out, ki, fi = [], 0, 0
+    for is_keyword in slots:
+        if is_keyword:
+            out.append(vocab.keywords[keywords[ki]])
+            ki += 1
+        else:
+            out.append(vocab.fillers[fillers[fi]])
+            fi += 1
+    return out
+
+
+def choice_stylize(vocab, plain, style_id, rng):
+    if any(vocab.marker_style(t) for t in plain):
+        raise ValueError("stylize: input already contains marker tokens")
+    pick = lambda: int(rng.choice(vocab.markers[style_id]))
+    if style_id == "s1":
+        return [pick()] + list(plain) + [pick(), pick()]
+    if style_id == "s2":
+        out = []
+        for count, tok in enumerate(plain, start=1):
+            out.append(tok)
+            if count % 2 == 0:
+                out.append(pick())
+        return out
+    if style_id == "s3":
+        out = list(plain)
+        last_k = max((i for i, t in enumerate(out) if vocab.is_keyword(t)), default=None)
+        if last_k is not None:
+            out.insert(last_k + 1, out[last_k])
+        return [pick()] + out + [pick()]
+    raise ValueError(f"no decoration rule for style {style_id!r}")
+
+
+def choice_noise_gn(vocab, t, mask_rate, delete_rate, rng):
+    if not (0.0 <= mask_rate < 1.0 and 0.0 <= delete_rate < 1.0):
+        raise ValueError("rates must be in [0, 1)")
+    if mask_rate + delete_rate >= 1.0:
+        raise ValueError("mask_rate + delete_rate must be < 1")
+    out = []
+    for tok in t:
+        u = rng.random()
+        if u < mask_rate:
+            out.append(vocab.mask)
+        elif u < mask_rate + delete_rate:
+            continue
+        else:
+            out.append(tok)
+    return out
+
+
+def choice_strip_style_gp(vocab, t, rng):
+    out = [tok for tok in t if vocab.marker_style(tok) is None]
+    last_k = max((i for i, tok in enumerate(out) if vocab.is_keyword(tok)), default=None)
+    if last_k is not None and last_k > 0 and out[last_k - 1] == out[last_k]:
+        del out[last_k]
+    out = [
+        int(rng.choice(vocab.fillers)) if vocab.is_filler(tok) else tok
+        for tok in out
+    ]
+    i = 0
+    while i < len(out) - 1:
+        if vocab.is_filler(out[i]) and vocab.is_filler(out[i + 1]):
+            if rng.random() < 0.5:
+                out[i], out[i + 1] = out[i + 1], out[i]
+            i += 2
+        else:
+            i += 1
+    return out
+
+
+ORACLE_GENERATORS = {"_interleave": choice_interleave, "stylize": choice_stylize,
+                     "noise_gn": choice_noise_gn, "strip_style_gp": choice_strip_style_gp}

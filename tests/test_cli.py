@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from styleswap import autograd as ag
 from styleswap import cli
 from styleswap import data as sd
 from styleswap import metrics as mx
@@ -81,7 +82,17 @@ class TestUsage:
         ("step2_epochs=0", "step2_epochs must be >= 1, got 0"),
         ("batch_size=0", "batch_size must be >= 1, got 0"),
         ("lm_order=0", "lm_order must be >= 1, got 0"),
-        ("lm_k=0", "lm_k must be > 0, got 0.0")])
+        ("lm_k=0", "lm_k must be > 0, got 0.0"),
+        ("n_task=1", "n_task must be >= 20 so that every split is non-empty, got 1"),
+        ("n_style=19", "n_style must be >= 20 so that every split is non-empty, got 19"),
+        ("lr=-1", "lr must be > 0, got -1.0"),
+        ("lr=0", "lr must be > 0, got 0.0"),
+        ("beta1=1.5", "beta1 must be in [0, 1), got 1.5"),
+        ("beta1=-0.1", "beta1 must be in [0, 1), got -0.1"),
+        ("beta2=1", "beta2 must be in [0, 1), got 1.0"),
+        ("adam_eps=0", "adam_eps must be > 0, got 0.0"),
+        ("weight_decay=-0.5", "weight_decay must be >= 0, got -0.5"),
+        ("patience=0", "patience must be >= 1, got 0")])
     def test_bad_run_setting_exits_1_before_any_work(self, tmp_path, capsys, setting, message):
         assert run(tmp_path / "w", "--set", setting, "pipeline") == 1
         assert capsys.readouterr().err == f"error: {message}\n"
@@ -267,11 +278,52 @@ class TestGradcheck:
                   "residual_ln": 4, "adapter": 5, "scaled_embed": 1, "tied_logits": 2}
         assert fused == [[op, "input", str(i)] for op, n in inputs.items() for i in range(n)]
 
+    def test_instance_with_a_planted_kink_is_redrawn(self, monkeypatch, capsys):
+        planted = cli._decoder_step_instance(np.random.default_rng(0))
+        loss, b1 = cli._probed_loss(planted, "dec.1.ffn.b1")
+        # the tape downstream of b1 holds dec.1.ffn, then adapter 1
+        probe = ag.Tensor(b1.data.copy(), requires_grad=True)
+        pre = ag.relu_inputs(loss(probe), planted[0].config.ln_eps)[0]
+        b1.data[0] -= pre[0, 0] - 3e-6  # a relu input within one probe step of zero
+        assert cli._probes_cross_a_kink(planted)
+        assert ag.grad_check(loss, b1) > 1e-4  # the kink alone fails a correct gradient
+        draws = iter([planted])
+        draw = cli._decoder_step_instance
+        monkeypatch.setattr(cli, "_decoder_step_instance", lambda rng: next(draws, None) or draw(rng))
+        assert cli._decoder_step_check(np.random.default_rng(0)) < 1e-4
+        assert next(draws, None) is None
+
+    def test_planted_layer_norm_gain_error_fails(self, monkeypatch, capsys):
+        residual_ln = ag.residual_layer_norm
+
+        def skewed(*args):
+            out = residual_ln(*args)
+            if out._bwd is not None:
+                bwd = out._bwd
+
+                def gain_off_by_a_thousandth(g):
+                    gx, gsub, ggain, gbias = bwd(g)
+                    return gx, gsub, None if ggain is None else ggain * 1.001, gbias
+
+                out._bwd = gain_off_by_a_thousandth
+            return out
+
+        monkeypatch.setattr(ag, "residual_layer_norm", skewed)
+        assert cli.main(["gradcheck"]) == 1
+        out = capsys.readouterr().out
+        line, = [x for x in out.splitlines() if x.startswith("gradcheck: decoder-step dec.1.ln1.g")]
+        assert float(line.split()[-1]) > 9e-4
+        assert out.splitlines()[-1].endswith("FAIL")
+
 
 class TestPipelineMicro:
-    def test_pipeline_writes_report_per_task_style(self, tmp_path):
+    def test_pipeline_writes_report_per_task_style(self, tmp_path, monkeypatch):
+        fits = []
+        fit = mx.train_ngram_lm
+        monkeypatch.setattr(mx, "train_ngram_lm", lambda *a, **k: fits.append(1) or fit(*a, **k))
         ws = tmp_path / "pipe"
         assert run(ws, "pipeline") == 0
+        assert len(fits) == 4  # one plain and three style LMs for the one task
         for style in ("s0", "s1", "s2", "s3"):
             assert (ws / f"reports/headline.{style}.report.txt").exists()
         assert (ws / "config.txt").exists()

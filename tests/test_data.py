@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 from styleswap import data as sd
 
+from helpers import ORACLE_GENERATORS
+
 VOCAB = sd.Vocab()
 
 
@@ -95,6 +97,10 @@ class TestStylize:
         assert len(out) == 5
         assert VOCAB.marker_style(out[0]) == "s3" and VOCAB.marker_style(out[-1]) == "s3"
         assert out[1:4] == [plain[0], plain[1], plain[1]]
+
+    def test_unknown_style_rejected(self):
+        with pytest.raises(ValueError, match="no decoration rule for style 's9'"):
+            sd.stylize(VOCAB, [VOCAB.keywords[0]], "s9", np.random.default_rng(0))
 
     def test_marker_input_rejected(self):
         with pytest.raises(ValueError, match="marker"):
@@ -222,3 +228,67 @@ class TestFiles:
         assert m1 == m2
         assert "task_headline.train.src" in m1["files"]
         assert m1["splits"]["style_s1"]["valid"] == [36, 38]
+
+    def test_generate_data_dir_bytes_are_pinned(self, tmp_path):
+        # Any change to the generators' draws or to the file format changes
+        # every corpus; this digest was taken before the draws were batched.
+        sd.generate_data_dir(tmp_path, seed=3, n_task=60, n_style=60)
+        h = hashlib.sha256()
+        for name, raw in file_bytes(tmp_path).items():
+            h.update(name.encode() + b"\0" + raw)
+        assert h.hexdigest() == "22cc18e1a8fc9940d5b138d86988ca25153db2e3fd292ae424ff2d0784418984"
+
+
+def file_bytes(root):
+    return {p.name: p.read_bytes() for p in sorted(Path(root).iterdir())}
+
+
+class TestMatchesChoiceOracle:
+    """The generators reproduce the per-token-`choice` oracle's output and random stream."""
+
+    @staticmethod
+    def both(name, call, seed):
+        """(output, generator state) of `call(generator, rng)` for data's and the oracle's."""
+        results = []
+        for fn in (getattr(sd, name), ORACLE_GENERATORS[name]):
+            rng = np.random.default_rng(seed)
+            results.append((call(fn, rng), rng.bit_generator.state))
+        return results
+
+    @given(st.integers(1, 6), st.integers(0, 15), st.integers(0, 2**63))
+    @settings(max_examples=60, deadline=None)
+    def test_interleave(self, n_k, n_f, seed):
+        fast, oracle = self.both("_interleave", lambda fn, rng: fn(VOCAB, rng, n_k, n_f), seed)
+        assert fast == oracle
+
+    @given(plain_sentences(), st.sampled_from(sd.STYLES), st.integers(0, 2**63))
+    @settings(max_examples=60, deadline=None)
+    def test_stylize_then_strip(self, plain, style, seed):
+        fast, oracle = self.both("stylize", lambda fn, rng: fn(VOCAB, plain, style, rng), seed)
+        assert fast == oracle
+        styled = fast[0]
+        fast, oracle = self.both("strip_style_gp", lambda fn, rng: fn(VOCAB, styled, rng), seed)
+        assert fast == oracle
+
+    @given(plain_sentences(), st.floats(0.0, 0.5), st.floats(0.0, 0.45),
+           st.integers(0, 2**63))
+    @settings(max_examples=60, deadline=None)
+    def test_noise(self, t, mask_rate, delete_rate, seed):
+        fast, oracle = self.both(
+            "noise_gn", lambda fn, rng: fn(VOCAB, t, mask_rate, delete_rate, rng), seed)
+        assert fast == oracle
+
+    @pytest.mark.parametrize("seed,n_task,n_style,tasks", [
+        (0, 20, 20, sd.TASKS),
+        (7, 137, 45, ("headline",)),
+        (123, 40, 300, ("story",)),
+        (2**40 + 5, 400, 60, ("story", "headline")),
+    ])
+    def test_generate_data_dir_writes_the_oracle_bytes(self, tmp_path, monkeypatch,
+                                                       seed, n_task, n_style, tasks):
+        kwargs = dict(seed=seed, n_task=n_task, n_style=n_style, tasks=tasks)
+        manifest = sd.generate_data_dir(tmp_path / "fast", **kwargs)
+        for name, fn in ORACLE_GENERATORS.items():
+            monkeypatch.setattr(sd, name, fn)
+        assert sd.generate_data_dir(tmp_path / "oracle", **kwargs) == manifest
+        assert file_bytes(tmp_path / "fast") == file_bytes(tmp_path / "oracle")

@@ -123,6 +123,12 @@ class TestBuildModel:
         assert a.base_bytes() == b.base_bytes()
         assert a.base_id == b.base_id
 
+    def test_default_base_id_is_pinned(self):
+        # the lineage of every existing checkpoint and adapter file: the
+        # initial draws, their order and the parameter names must not move
+        assert mdl.build_model(mdl.ModelConfig()).base_id == \
+            "7cc5010ab75a4d36d8c7822590e3e518aad886932a2072633dbae8b11058d370"
+
     def test_different_seed_differs(self):
         a = mdl.build_model(tiny_config(seed=1))
         b = mdl.build_model(tiny_config(seed=2))

@@ -38,12 +38,18 @@ class TestCheckpoint:
             denom = np.maximum(np.abs(orig), 1e-12)
             assert np.max(np.abs(got - orig) / denom) < 1e-6
 
-    def test_save_load_save_byte_identical(self, tmp_path):
+    def test_save_load_save_byte_identical(self, tmp_path, monkeypatch):
         model = mdl.build_model(small_config())
         store.save_checkpoint(model, tmp_path / "a.ckpt")
+        # loading fills the parameter layout from the file; it draws no model
+        monkeypatch.setattr(mdl, "build_model", None)
+        monkeypatch.setattr(store, "build_model", None, raising=False)
         back = store.load_checkpoint(tmp_path / "a.ckpt")
         store.save_checkpoint(back, tmp_path / "b.ckpt")
         assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()
+        assert list(back.params) == list(model.params)
+        assert back.groups == model.groups
+        assert all(t.requires_grad for t in back.params.values())
 
     def test_logits_close_after_roundtrip(self, tmp_path):
         model = mdl.build_model(small_config())
@@ -169,9 +175,12 @@ class TestCheckpoint:
 
 
 class TestCloneModel:
-    def test_clone_is_independent_copy(self):
+    def test_clone_is_independent_copy(self, monkeypatch):
         model = mdl.build_model(small_config())
+        monkeypatch.setattr(mdl, "build_model", None)
+        monkeypatch.setattr(store, "build_model", None, raising=False)
         twin = store.clone_model(model)
+        assert list(twin.params) == list(model.params) and twin.groups == model.groups
         assert twin.base_bytes() == model.base_bytes()
         assert twin.base_id == model.base_id
         twin.params["emb.tok"].data += 1.0
