@@ -1,10 +1,13 @@
-"""Reverse-mode automatic differentiation over dense float64 arrays.
+"""Reverse-mode automatic differentiation over dense float32 or float64 arrays.
 
 Tensors double as the tape: every op assigns its output a monotonically
 increasing id, so creation order is a topological order of the graph, and
 `backward(loss)` replays the reachable entries exactly once, newest first.
 Ops are plain functions of tensors; grads accumulate additively and the
-caller clears them between optimizer steps.
+caller clears them between optimizer steps. Every op computes in its inputs'
+dtype: the model's parameters are float32, so training and decoding run in
+float32, and a float64 model (the gradient checks, the tests' exact oracles)
+computes in float64. Python scalars in an op do not change its dtype.
 
 The model runs on fused sublayer ops, each one tape node with a hand-written
 backward: `project_heads`, `attention`, `merge_heads`, `ffn`,
@@ -93,12 +96,17 @@ def grad_enabled() -> bool:
 
 
 class Tensor:
-    """A float64 ndarray with optional participation in the gradient tape."""
+    """A float32 or float64 ndarray with optional participation in the gradient tape.
+
+    A float32 or float64 array is kept as it is (not copied); any other
+    input becomes float64.
+    """
 
     __slots__ = ("data", "requires_grad", "grad", "_id", "_op", "_parents", "_bwd")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=np.float64)
+        data = np.asarray(data)
+        self.data = data if data.dtype in (np.float32, np.float64) else data.astype(np.float64)
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
         self._id = next(_ids)
@@ -264,7 +272,7 @@ def transpose(x: Tensor, axes: Sequence[int]) -> Tensor:
 
 def tsum(x: Tensor) -> Tensor:
     def bwd(g):
-        return (np.full(x.data.shape, float(g)) if x.requires_grad else None,)
+        return (np.full_like(x.data, g) if x.requires_grad else None,)
 
     return _make(np.asarray(x.data.sum()), "sum", (x,), bwd)
 
@@ -602,9 +610,13 @@ def grad_check(f: Callable[[Tensor], Tensor], w: Tensor, eps: float = 1e-5) -> f
 
     Perturbs every element of w, so keep w small. The numeric side never
     touches the tape; the analytic side is an ordinary forward + backward.
+    w must be float64: in float32 a central difference at a step of 1e-5 is
+    dominated by round-off.
     """
     if eps <= 0:
         raise ValueError("grad_check: eps must be > 0")
+    if w.data.dtype != np.float64:
+        raise ValueError(f"grad_check: w must be float64, got {w.data.dtype}")
     probe = Tensor(w.data.copy(), requires_grad=True)
     loss = f(probe)
     backward(loss)

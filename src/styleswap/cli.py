@@ -110,7 +110,11 @@ def ensure_data(cfg: RunConfig, ws: Workspace) -> None:
 
 
 def ensure_base(cfg: RunConfig, ws: Workspace) -> mdl.Model:
-    """Build (or reload) the workdir's shared initial base model."""
+    """Build (or reload) the workdir's shared initial base model.
+
+    A built base is float32, the dtype checkpoints store, so it equals its
+    reload.
+    """
     path = ws.base_init_path()
     if path.exists():
         model = store.load_checkpoint(path)
@@ -121,8 +125,7 @@ def ensure_base(cfg: RunConfig, ws: Workspace) -> mdl.Model:
     model = mdl.build_model(cfg.model_config())
     ws.ensure_dirs()
     store.save_checkpoint(model, path)
-    # reload so that every consumer sees the canonical float32 storage form
-    return store.load_checkpoint(path)
+    return model
 
 
 def base_sha(model: mdl.Model) -> str:
@@ -231,10 +234,22 @@ def metric_lms(cfg: RunConfig, ws: Workspace, task: str) -> MetricLMs:
     return plain, styled
 
 
+def task_embeddings(cfg: RunConfig, ws: Workspace, task: str, trainable: str | None = None,
+                    variant: str = "") -> np.ndarray | None:
+    """The task model's token embeddings, for the embedding metric; None if it is not trained."""
+    path = ws.task_model_path(task, trainable or cfg.trainable, variant)
+    return store.load_checkpoint(path).params["emb.tok"].data if path.exists() else None
+
+
 def cmd_evaluate(cfg: RunConfig, ws: Workspace, task: str, style: str,
                  variant: str = "", outputs_file: Path | None = None,
-                 trainable: str | None = None, lms: MetricLMs | None = None) -> int:
-    """Score one output file; `lms` are the task's `metric_lms`, fitted here if None."""
+                 trainable: str | None = None, lms: MetricLMs | None = None,
+                 embeddings: np.ndarray | None = None) -> int:
+    """Score one output file.
+
+    `lms` are the task's `metric_lms` and `embeddings` its `task_embeddings`;
+    each is made here if None.
+    """
     _require_data(cfg, ws)
     vocab = Vocab()
     out_path = Path(outputs_file) if outputs_file else ws.output_path(task, style, variant)
@@ -246,10 +261,8 @@ def cmd_evaluate(cfg: RunConfig, ws: Workspace, task: str, style: str,
         raise CliError(f"{out_path}: {len(outputs)} outputs vs "
                        f"{len(references)} references")
     plain_lm, style_lms = lms or metric_lms(cfg, ws, task)
-    embeddings = None
-    model_path = ws.task_model_path(task, trainable or cfg.trainable, variant)
-    if model_path.exists():
-        embeddings = store.load_checkpoint(model_path).params["emb.tok"].data
+    if embeddings is None:
+        embeddings = task_embeddings(cfg, ws, task, trainable, variant)
     report = mx.evaluate_run(outputs, references, plain_lm, style_lms, vocab,
                              embeddings=embeddings)
     report_path = ws.report_path(task, style, variant)
@@ -271,10 +284,10 @@ def cmd_pipeline(cfg: RunConfig, ws: Workspace) -> int:
     for task in cfg.tasks:
         cmd_train_task(cfg, ws, task, cfg.trainable)
     for task in cfg.tasks:
-        lms = metric_lms(cfg, ws, task)
+        lms, embeddings = metric_lms(cfg, ws, task), task_embeddings(cfg, ws, task)
         for style in (STYLELESS,) + tuple(cfg.styles):
             cmd_generate(cfg, ws, task, style)
-            cmd_evaluate(cfg, ws, task, style, lms=lms)
+            cmd_evaluate(cfg, ws, task, style, lms=lms, embeddings=embeddings)
     print(f"pipeline: done in {time.time() - started:.0f}s "
           f"({len(cfg.tasks)} tasks x {len(cfg.styles) + 1} adapter sets)")
     return 0
@@ -381,13 +394,21 @@ _MAX_DRAWS = 100
 
 
 def _decoder_step_instance(rng: np.random.Generator):
-    """A tiny model with s1 adapters of non-zero up-projection, and one batch."""
+    """A tiny float64 model with s1 adapters of non-zero up-projection, and one batch.
+
+    float64, because grad_check's central differences need it: the built
+    float32 parameters are widened.
+    """
     vocab = Vocab()
     cfg = mdl.ModelConfig(vocab_size=len(vocab), d_model=8, n_heads=2, d_ffn=12,
                           n_enc_layers=1, n_dec_layers=2, adapter_bottleneck=2,
                           max_len=8, seed=int(rng.integers(0, 2**31)))
-    model = mdl.build_model(cfg)
+    built = mdl.build_model(cfg)
+    model = mdl.model_from_arrays(cfg, {n: t.data.astype(np.float64)
+                                        for n, t in built.params.items()}, built.base_id)
     adapters = mdl.fresh_adapters(cfg, "s1", seed=int(rng.integers(0, 2**31)))
+    for _, t in adapters.named():
+        t.data = t.data.astype(np.float64)
     for layer in adapters.layers:
         layer["w_up"].data[:] = rng.normal(0, 0.3, size=layer["w_up"].shape)
     mdl.swap_adapters(model, adapters)

@@ -14,6 +14,15 @@ dec-other), which is what the training stages use to express freeze
 policies. The token embedding joins the enc group: this model trains from
 scratch, so the task stage must be able to move the (tied) output head.
 
+Parameters are float32, the precision checkpoints store, and every op
+computes in its inputs' dtype, so training and decoding run in float32.
+`build_model` draws float64 normals and keeps their float32 rounding, which
+is exactly what a checkpoint round trip of the float64 draws gives. The
+positions take the parameters' dtype, and the additive masks are float32,
+whose 0 and -1e9 are exact in float32: neither widens a float32 sum, and a
+model built from float64 arrays computes the same float64 bits it would
+with float64 masks.
+
 Every sublayer is one fused autograd op (see `autograd`): head projection,
 attention, head merge, feed-forward, residual plus layer norm, adapter,
 embedding and tied output head. The forward helpers below create them in a
@@ -99,16 +108,16 @@ class AdapterSet:
 
 def fresh_adapters(config: ModelConfig, style_id: str, seed: int = 0,
                    mode: str = "fresh") -> AdapterSet:
-    """Identity-at-init adapters: small random down-projection, zero up-projection."""
+    """Identity-at-init float32 adapters: small random down-projection, zero up-projection."""
     rng = np.random.default_rng(seed)
     h, b = config.d_model, config.adapter_bottleneck
     layers = []
     for _ in range(config.n_dec_layers):
         layers.append({
-            "ln_g": Tensor(np.ones(h)),
-            "ln_b": Tensor(np.zeros(h)),
-            "w_down": Tensor(rng.normal(0.0, 0.02, size=(h, b))),
-            "w_up": Tensor(np.zeros((b, h))),
+            "ln_g": Tensor(np.ones(h, dtype=np.float32)),
+            "ln_b": Tensor(np.zeros(h, dtype=np.float32)),
+            "w_down": Tensor(rng.normal(0.0, 0.02, size=(h, b)).astype(np.float32)),
+            "w_up": Tensor(np.zeros((b, h), dtype=np.float32)),
         })
     return AdapterSet(style_id=style_id, mode=mode, layers=layers)
 
@@ -131,7 +140,8 @@ class Model:
         self.groups = groups
         self.base_id = base_id
         self.adapters: AdapterSet | None = None
-        self.positions = sinusoidal_positions(config.max_len, config.d_model)
+        self.positions = sinusoidal_positions(config.max_len, config.d_model).astype(
+            params["emb.tok"].data.dtype)
 
     def named_parameters(self):
         yield from self.params.items()
@@ -139,7 +149,7 @@ class Model:
             yield from self.adapters.named()
 
     def base_bytes(self) -> bytes:
-        """Canonical float64 bytes of the base parameters, for freeze checks."""
+        """The base parameters' bytes in name order, for freeze checks."""
         return b"".join(self.params[n].data.tobytes() for n in sorted(self.params))
 
 
@@ -209,16 +219,19 @@ def model_from_arrays(config: ModelConfig, arrays: dict[str, np.ndarray], base_i
 
 
 def build_model(config: ModelConfig) -> Model:
-    """Deterministically initialize the base network from config.seed."""
+    """Deterministically initialize the float32 base network from config.seed.
+
+    The normals are drawn in float64 and rounded to float32.
+    """
     rng = np.random.default_rng(config.seed)
     arrays = {}
     for name, _, shape, init in param_layout(config):
         if init == "zeros":
-            arrays[name] = np.zeros(shape)
+            arrays[name] = np.zeros(shape, dtype=np.float32)
         elif init == "ones":
-            arrays[name] = np.ones(shape)
+            arrays[name] = np.ones(shape, dtype=np.float32)
         else:
-            arrays[name] = rng.normal(0.0, init, size=shape)
+            arrays[name] = rng.normal(0.0, init, size=shape).astype(np.float32)
     model = model_from_arrays(config, arrays, "")
     model.base_id = lineage_fingerprint(config, model.params)
     return model
@@ -271,14 +284,14 @@ def _embed(model: Model, tokens: np.ndarray, start: int = 0) -> Tensor:
 def pad_attention_mask(tokens: np.ndarray, pad_id: int) -> np.ndarray:
     """Additive mask hiding PAD key positions, shaped for broadcast over heads."""
     bsz, length = tokens.shape
-    mask = np.where(tokens == pad_id, MASK_NEG, 0.0)
+    mask = np.where(tokens == pad_id, MASK_NEG, 0.0).astype(np.float32)
     return mask.reshape(bsz, 1, 1, length)
 
 
 def causal_attention_mask(length: int, past: int = 0) -> np.ndarray:
     """Additive mask letting each of `length` new positions see the `past` cached
     positions, itself and the new positions before it."""
-    mask = np.triu(np.full((length, past + length), MASK_NEG), k=past + 1)
+    mask = np.triu(np.full((length, past + length), MASK_NEG, dtype=np.float32), k=past + 1)
     return mask.reshape(1, 1, length, past + length)
 
 
@@ -321,7 +334,8 @@ class DecodeCache:
         names = [f"dec.{i}.catt" for i in range(model.config.n_dec_layers)]
         cross = [(_heads(model, n, enc_states, "k").data, _heads(model, n, enc_states, "v").data)
                  for n in names]
-        empty = np.zeros(cross[0][0].shape[:2] + (0,) + cross[0][0].shape[3:])
+        empty = np.zeros(cross[0][0].shape[:2] + (0,) + cross[0][0].shape[3:],
+                         dtype=cross[0][0].dtype)
         return cls(cross, [(empty, empty)] * len(names))
 
     def select(self, rows: np.ndarray) -> DecodeCache:

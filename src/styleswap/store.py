@@ -3,8 +3,9 @@
 Both formats share the same skeleton: an 8-byte magic+version, a
 length-prefixed JSON header, length-prefixed named float32 records sorted
 by name, and a trailing sha256 over everything before it. The checksum is
-verified before any parameter is exposed. Serialization is canonical, so
-save -> load -> save is byte-identical.
+verified before any parameter is exposed. Records load as writable float32
+arrays, the dtype the model trains in, so a float32 model saves and loads
+exactly, and save -> load -> save is byte-identical.
 
 An adapter file records the lineage fingerprint of the base it was trained
 against: the checksum of the freshly built base's weights plus config,
@@ -128,7 +129,8 @@ class _Reader:
             flat = np.frombuffer(self._buf, dtype="<f4", count=n_bytes // 4,
                                  offset=self._pos)
             self._pos += n_bytes
-            out[name] = flat.reshape(shape).astype(np.float64)
+            # a copy: parameters must be writable, not views of the file buffer
+            out[name] = flat.reshape(shape).astype(np.float32)
         return out
 
 

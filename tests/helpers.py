@@ -1,8 +1,10 @@
 """Shared oracles: random score tables, exhaustive search, greedy search as
 the beam-size-1 reference, the uncached decoder that the incremental one
 must match, the elementary-op forward that the fused autograd ops must
-match bit for bit, and the per-token-`choice` corpus generators whose
-random stream and output the fast ones must reproduce exactly."""
+match bit for bit, and the per-token-`choice` corpus generators whose random
+stream and output the fast ones must reproduce exactly. Also `float64`, the
+widened copy of a float32 model that the exact comparisons run on, and a
+model, batch and training step to compare two computations of."""
 
 import hashlib
 
@@ -11,8 +13,11 @@ import numpy as np
 from styleswap import autograd as ag
 from styleswap import decoding as dec
 from styleswap import model as mdl
+from styleswap import training
+from styleswap.data import Vocab
 
 BOS, EOS = 0, 1
+VOCAB = Vocab()
 
 
 def _prefix_seed(seed: int, prefix: tuple[int, ...]) -> int:
@@ -57,6 +62,20 @@ def exhaustive_best(step_fn, max_len: int, vocab_size: int):
     walk([], 0.0)
     best = min(pool, key=lambda e: (-e[1], len(e[0]), e[0]))
     return list(best[0]), best[1]
+
+
+def float64(model, adapters=None):
+    """A float64 copy of `model` with float64 copies of `adapters` (default: the
+    installed set) installed: the same float32-rounded values, computed in
+    float64, for the tests that compare two computations at 1e-9 or closer."""
+    wide = mdl.model_from_arrays(model.config, {n: t.data.astype(np.float64)
+                                                for n, t in model.params.items()}, model.base_id)
+    adapters = adapters or model.adapters
+    if adapters is not None:
+        layers = [{k: ag.Tensor(t.data.astype(np.float64)) for k, t in layer.items()}
+                  for layer in adapters.layers]
+        mdl.swap_adapters(wide, mdl.AdapterSet(adapters.style_id, adapters.mode, layers))
+    return wide
 
 
 def full_prefix_step_fn(model, src, vocab):
@@ -126,6 +145,49 @@ def list_beam_core(step_fn, bos, eos, max_len, beam_size, alpha):
 
 
 # ---------------------------------------------------------------------------
+# A model, a batch and a training step for comparing two computations of it.
+
+
+def styled_model(seed: int, sizes: dict) -> mdl.Model:
+    """A model whose adapters, gains and biases all move the output."""
+    cfg = mdl.ModelConfig(vocab_size=len(VOCAB), seed=seed, **sizes)
+    model = mdl.build_model(cfg)
+    rng = np.random.default_rng(seed)
+    adapters = mdl.fresh_adapters(cfg, "s1", seed=seed + 1)
+    for layer in adapters.layers:
+        layer["w_up"].data[:] = rng.normal(0.0, 0.3, size=layer["w_up"].shape)
+        layer["ln_g"].data[:] = rng.uniform(0.5, 1.5, size=layer["ln_g"].shape)
+        layer["ln_b"].data[:] = rng.normal(0.0, 0.1, size=layer["ln_b"].shape)
+    for t in model.params.values():
+        if t.data.ndim == 1:
+            t.data += rng.normal(0.0, 0.1, size=t.shape)
+    return mdl.swap_adapters(model, adapters)
+
+
+def random_batch(seed: int, bsz: int = 6):
+    rng = np.random.default_rng(seed + 100)
+    pairs = [(list(rng.integers(4, len(VOCAB), size=rng.integers(3, 18))),
+              list(rng.integers(4, len(VOCAB), size=rng.integers(2, 14))))
+             for _ in range(bsz)]
+    return next(training.make_batches(pairs, VOCAB, bsz, None))
+
+
+def train_step(model, selector, batch, encode, decode):
+    """Logits, loss and the trainable set's gradients of one training step."""
+    live = training.set_trainable(model, mdl.param_group(model, selector))
+    src, dec_in, dec_tgt = batch
+    mask = mdl.pad_attention_mask(src, VOCAB.pad)
+    logits = decode(model, encode(model, src, mask), mask, dec_in)
+    bsz, t, v = logits.shape
+    loss = ag.cross_entropy(ag.reshape(logits, (bsz * t, v)), dec_tgt.ravel(), VOCAB.pad)
+    ag.backward(loss)
+    grads = {name: t.grad for name, t in live}
+    frozen = [name for name, t in model.named_parameters()
+              if t.grad is not None and name not in grads]
+    return logits.data, loss.data, grads, frozen
+
+
+# ---------------------------------------------------------------------------
 # The model's forward as chains of elementary autograd ops, one tape node per
 # op: the oracle that the fused ops must match bit for bit, in logits and in
 # every gradient.
@@ -150,7 +212,8 @@ def composed_heads(model, name, x, which):
 def composed_attend(model, name, q, k, v, mask):
     p = model.params
     bsz, heads, t, dh = q.shape
-    scores = ag.mul(ag.matmul(q, ag.transpose(k, (0, 1, 3, 2))), ag.Tensor(dh ** -0.5))
+    scale = ag.Tensor(np.asarray(dh ** -0.5, dtype=q.data.dtype))
+    scores = ag.mul(ag.matmul(q, ag.transpose(k, (0, 1, 3, 2))), scale)
     if mask is not None:
         scores = ag.add(scores, ag.Tensor(mask))
     ctx = ag.matmul(ag.softmax(scores, axis=-1), v)
@@ -178,8 +241,9 @@ def composed_embed(model, tokens, start=0):
     if end > model.config.max_len:
         raise ValueError(f"sequence reaches position {end}, beyond model "
                          f"max_len={model.config.max_len}")
-    scaled = ag.mul(ag.embedding(model.params["emb.tok"], tokens),
-                    ag.Tensor(model.config.d_model ** 0.5))
+    weight = model.params["emb.tok"]
+    scale = ag.Tensor(np.asarray(model.config.d_model ** 0.5, dtype=weight.data.dtype))
+    scaled = ag.mul(ag.embedding(weight, tokens), scale)
     return ag.add(scaled, ag.Tensor(model.positions[start:end]))
 
 
@@ -222,7 +286,8 @@ def composed_cache(model, enc_states):
     names = [f"dec.{i}.catt" for i in range(model.config.n_dec_layers)]
     cross = [(composed_heads(model, n, enc_states, "k").data,
               composed_heads(model, n, enc_states, "v").data) for n in names]
-    empty = np.zeros(cross[0][0].shape[:2] + (0,) + cross[0][0].shape[3:])
+    empty = np.zeros(cross[0][0].shape[:2] + (0,) + cross[0][0].shape[3:],
+                     dtype=cross[0][0].dtype)
     return mdl.DecodeCache(cross, [(empty, empty)] * len(names))
 
 

@@ -181,6 +181,22 @@ class TestBackward:
         assert out._parents == ()
 
 
+class TestDtype:
+    def test_float32_and_float64_kept_other_input_widened(self):
+        narrow = np.ones(3, dtype=np.float32)
+        assert ag.Tensor(narrow).data is narrow
+        assert ag.Tensor(np.ones(3)).data.dtype == np.float64
+        assert ag.Tensor([1, 2]).data.dtype == np.float64
+        assert ag.Tensor(np.ones(2, dtype=np.float16)).data.dtype == np.float64
+
+    def test_ops_and_gradients_keep_float32(self):
+        a = ag.Tensor(np.full((2, 3), 0.5, dtype=np.float32), requires_grad=True)
+        b = ag.Tensor(np.full((3, 2), 2.0, dtype=np.float32), requires_grad=True)
+        y = ag.tsum(ag.relu(ag.mul(ag.matmul(a, b), ag.Tensor(np.float32(3.0)))))
+        ag.backward(y)
+        assert y.data.dtype == a.grad.dtype == b.grad.dtype == np.float32
+
+
 class TestGradCheck:
     def test_constant_function(self):
         err = ag.grad_check(lambda t: ag.tsum(ag.mul(t, ag.Tensor(0.0))), ag.Tensor([1.0, 2.0]))
@@ -193,6 +209,11 @@ class TestGradCheck:
     def test_bad_eps(self):
         with pytest.raises(ValueError):
             ag.grad_check(lambda t: ag.tsum(t), ag.Tensor([1.0]), eps=0.0)
+
+    def test_float32_probe_is_refused(self):
+        probe = ag.Tensor(np.array([3.0], dtype=np.float32))
+        with pytest.raises(ValueError, match="^grad_check: w must be float64, got float32$"):
+            ag.grad_check(lambda t: ag.tsum(ag.mul(t, t)), probe)
 
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=30, deadline=None)

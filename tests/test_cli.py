@@ -318,15 +318,25 @@ class TestGradcheck:
 
 class TestPipelineMicro:
     def test_pipeline_writes_report_per_task_style(self, tmp_path, monkeypatch):
-        fits = []
-        fit = mx.train_ngram_lm
+        fits, loads = [], []
+        fit, load = mx.train_ngram_lm, store.load_checkpoint
         monkeypatch.setattr(mx, "train_ngram_lm", lambda *a, **k: fits.append(1) or fit(*a, **k))
+        monkeypatch.setattr(store, "load_checkpoint", lambda path: loads.append(path) or load(path))
         ws = tmp_path / "pipe"
         assert run(ws, "pipeline") == 0
         assert len(fits) == 4  # one plain and three style LMs for the one task
+        # base for train-adapter s1-s3 and train-task (the built base is not
+        # reloaded), the task model once per generate, and once for evaluate
+        assert [p.name for p in loads] == ["base_init.ckpt"] * 4 + ["base_headline.enc.ckpt"] * 5
         for style in ("s0", "s1", "s2", "s3"):
             assert (ws / f"reports/headline.{style}.report.txt").exists()
         assert (ws / "config.txt").exists()
+        # a standalone evaluate loads its own embeddings and writes the same report
+        report = ws / "reports/headline.s1.report.txt"
+        written = report.read_bytes()
+        report.unlink()
+        assert run(ws, "evaluate", "--task", "headline", "--style", "s1") == 0
+        assert report.read_bytes() == written
 
     def test_corpora_made_with_other_settings_are_refused(self, tmp_path, capsys):
         ws = tmp_path / "pipe"

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from helpers import (BOS, EOS, exhaustive_best, full_prefix_step_fn, greedy_core,
+from helpers import (BOS, EOS, exhaustive_best, float64, full_prefix_step_fn, greedy_core,
                      list_beam_core, table_step_fn)
 from styleswap import autograd as ag
 from styleswap import data as sd
@@ -217,8 +217,10 @@ class TestModelDecoding:
 
     def test_score_is_sum_of_step_logprobs(self, tiny_setup):
         vocab, model, adapters = tiny_setup
+        model = float64(model, adapters)  # a float32 total would compare in float32
         x = [vocab.keywords[2], vocab.fillers[1]]
-        res = dec.beam_search(model, adapters, x, dec.DecodeConfig(beam_size=4, max_out_len=8), vocab)
+        res = dec.beam_search(model, model.adapters, x,
+                              dec.DecodeConfig(beam_size=4, max_out_len=8), vocab)
         step = dec.model_step_fn(model, x, vocab)
         prefix, total = [vocab.bos], 0.0
         for tok in res.tokens + [vocab.eos]:
@@ -241,11 +243,11 @@ def seeded_model(seed):
 
 
 class TestIncrementalDecoding:
-    """The cached decoder against the full-prefix oracle of tests/helpers.py."""
+    """The cached decoder against the full-prefix oracle of tests/helpers.py, in float64."""
 
     def test_cached_logits_match_full_prefix_at_every_step(self, tiny_setup):
         vocab, model, adapters = tiny_setup
-        mdl.swap_adapters(model, adapters)
+        model = float64(model, adapters)
         rng = np.random.default_rng(17)
         with ag.no_grad():
             enc = mdl.encode_batch(model, np.asarray([[vocab.keywords[0], vocab.fillers[2],
@@ -275,7 +277,7 @@ class TestIncrementalDecoding:
 
     def test_scorer_falls_back_when_the_chain_breaks(self, tiny_setup, monkeypatch):
         vocab, model, adapters = tiny_setup
-        mdl.swap_adapters(model, adapters)
+        model = float64(model, adapters)
         x = [vocab.keywords[3], vocab.keywords[4]]
         widths = []
         real = dec.decode_logits_batch
@@ -303,12 +305,13 @@ class TestIncrementalDecoding:
     @pytest.mark.parametrize("alpha", [0.0, 1.0])
     def test_search_matches_oracle_on_tiny_model(self, tiny_setup, alpha):
         vocab, model, adapters = tiny_setup
-        self.assert_matches_oracle(model, adapters, vocab, alpha, max_out_len=12, n=6)
+        model = float64(model, adapters)
+        self.assert_matches_oracle(model, model.adapters, vocab, alpha, max_out_len=12, n=6)
 
     @pytest.mark.parametrize("alpha", [0.0, 1.0])
     def test_search_matches_oracle_on_default_size_model(self, alpha):
-        model, adapters = seeded_model(5)
-        self.assert_matches_oracle(model, adapters, sd.Vocab(), alpha, max_out_len=32, n=3)
+        model = float64(*seeded_model(5))
+        self.assert_matches_oracle(model, model.adapters, sd.Vocab(), alpha, max_out_len=32, n=3)
 
     @staticmethod
     def assert_matches_oracle(model, adapters, vocab, alpha, max_out_len, n):

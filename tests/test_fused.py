@@ -1,19 +1,19 @@
 """The fused sublayer ops against the elementary-op oracle in helpers.py.
 
 Every comparison is exact (np.array_equal): the fused ops promise the same
-bits as the chains they replace, not merely close values.
+bits as the chains they replace, not merely close values, both in float32
+(the model's dtype) and in float64 (the model widened by `helpers.float64`).
 """
 
 import numpy as np
 import pytest
 
 import helpers as H
+from helpers import VOCAB
 from styleswap import autograd as ag
 from styleswap import model as mdl
 from styleswap import training
-from styleswap.data import Vocab
 
-VOCAB = Vocab()
 SIZES = {
     "default": {},
     "small": dict(d_model=32, n_heads=2, d_ffn=48, n_enc_layers=1, n_dec_layers=1,
@@ -21,64 +21,28 @@ SIZES = {
 }
 
 
-def _model(seed: int, sizes: dict) -> mdl.Model:
-    """A model whose adapters, gains and biases all move the output."""
-    cfg = mdl.ModelConfig(vocab_size=len(VOCAB), seed=seed, **sizes)
-    model = mdl.build_model(cfg)
-    rng = np.random.default_rng(seed)
-    adapters = mdl.fresh_adapters(cfg, "s1", seed=seed + 1)
-    for layer in adapters.layers:
-        layer["w_up"].data[:] = rng.normal(0.0, 0.3, size=layer["w_up"].shape)
-        layer["ln_g"].data[:] = rng.uniform(0.5, 1.5, size=layer["ln_g"].shape)
-        layer["ln_b"].data[:] = rng.normal(0.0, 0.1, size=layer["ln_b"].shape)
-    for t in model.params.values():
-        if t.data.ndim == 1:
-            t.data += rng.normal(0.0, 0.1, size=t.shape)
-    return mdl.swap_adapters(model, adapters)
-
-
-def _batch(seed: int, bsz: int = 6):
-    rng = np.random.default_rng(seed + 100)
-    pairs = [(list(rng.integers(4, len(VOCAB), size=rng.integers(3, 18))),
-              list(rng.integers(4, len(VOCAB), size=rng.integers(2, 14))))
-             for _ in range(bsz)]
-    return next(training.make_batches(pairs, VOCAB, bsz, None))
-
-
-def _step(model, selector, batch, encode, decode):
-    """Logits, loss and the trainable set's gradients of one training step."""
-    live = training.set_trainable(model, mdl.param_group(model, selector))
-    src, dec_in, dec_tgt = batch
-    mask = mdl.pad_attention_mask(src, VOCAB.pad)
-    logits = decode(model, encode(model, src, mask), mask, dec_in)
-    bsz, t, v = logits.shape
-    loss = ag.cross_entropy(ag.reshape(logits, (bsz * t, v)), dec_tgt.ravel(), VOCAB.pad)
-    ag.backward(loss)
-    grads = {name: t.grad for name, t in live}
-    frozen = [name for name, t in model.named_parameters()
-              if t.grad is not None and name not in grads]
-    return logits.data, loss.data, grads, frozen
-
-
 class TestTrainingStep:
     @pytest.mark.parametrize("sizes", sorted(SIZES))
     @pytest.mark.parametrize("selector", ["adapter", *mdl.SELECTORS])
     @pytest.mark.parametrize("seed", [0, 1])
     def test_logits_and_every_gradient_bit_identical(self, seed, selector, sizes):
-        model, batch = _model(seed, SIZES[sizes]), _batch(seed)
-        fused = _step(model, selector, batch, mdl.encode_batch, mdl.decode_logits_batch)
-        oracle = _step(model, selector, batch, H.composed_encode_batch,
-                       H.composed_decode_logits_batch)
-        assert np.array_equal(fused[0], oracle[0])
-        assert np.array_equal(fused[1], oracle[1])
-        assert sorted(fused[2]) == sorted(oracle[2])
-        for name, grad in fused[2].items():
-            assert grad is not None, name
-            assert np.array_equal(grad, oracle[2][name]), name
-        assert fused[3] == oracle[3] == []
+        narrow, batch = H.styled_model(seed, SIZES[sizes]), H.random_batch(seed)
+        for model in (narrow, H.float64(narrow)):
+            fused = H.train_step(model, selector, batch, mdl.encode_batch,
+                                 mdl.decode_logits_batch)
+            oracle = H.train_step(model, selector, batch, H.composed_encode_batch,
+                                  H.composed_decode_logits_batch)
+            assert fused[0].dtype == model.params["emb.tok"].data.dtype
+            assert np.array_equal(fused[0], oracle[0])
+            assert np.array_equal(fused[1], oracle[1])
+            assert sorted(fused[2]) == sorted(oracle[2])
+            for name, grad in fused[2].items():
+                assert grad is not None, name
+                assert np.array_equal(grad, oracle[2][name]), name
+            assert fused[3] == oracle[3] == []
 
     def test_fused_step_records_one_node_per_sublayer(self):
-        model, batch = _model(0, {}), _batch(0)
+        model, batch = H.styled_model(0, {}), H.random_batch(0)
         training.set_trainable(model, mdl.param_group(model, "enc+catt+dec"))
         src, dec_in, _ = batch
         mask = mdl.pad_attention_mask(src, VOCAB.pad)
@@ -91,8 +55,13 @@ class TestTrainingStep:
 class TestCachedDecoding:
     @pytest.mark.parametrize("sizes", sorted(SIZES))
     def test_cached_logits_bit_identical(self, sizes):
-        model = _model(3, SIZES[sizes])
-        src, _, _ = _batch(3, bsz=3)
+        narrow = H.styled_model(3, SIZES[sizes])
+        for model in (narrow, H.float64(narrow)):
+            self.assert_cached_logits_bit_identical(model)
+
+    @staticmethod
+    def assert_cached_logits_bit_identical(model):
+        src, _, _ = H.random_batch(3, bsz=3)
         mask = mdl.pad_attention_mask(src, VOCAB.pad)
         prefix = np.random.default_rng(3).integers(4, len(VOCAB), size=(3, 5))
         prefix[:, 0] = VOCAB.bos
@@ -110,6 +79,7 @@ class TestCachedDecoding:
                 feed = prefix[:, :2] if step == 0 else prefix[:, step + 1:step + 2]
                 a = mdl.decode_logits_batch(model, enc, mask, feed, cache=fused)
                 b = H.composed_decode_logits_batch(model, enc, mask, feed, cache=oracle)
+                assert a.data.dtype == model.params["emb.tok"].data.dtype
                 assert np.array_equal(a.data, b.data), step
 
 

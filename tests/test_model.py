@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+import helpers as H
 from styleswap import autograd as ag
 from styleswap import model as mdl
 
@@ -122,6 +123,17 @@ class TestBuildModel:
         b = mdl.build_model(tiny_config())
         assert a.base_bytes() == b.base_bytes()
         assert a.base_id == b.base_id
+
+    def test_parameters_are_the_float32_rounding_of_float64_draws(self):
+        cfg = tiny_config()
+        m = mdl.build_model(cfg)
+        rng = np.random.default_rng(cfg.seed)
+        for name, _, shape, init in mdl.param_layout(cfg):
+            assert m.params[name].data.dtype == np.float32, name
+            if not isinstance(init, str):
+                want = rng.normal(0.0, init, size=shape).astype(np.float32)
+                assert np.array_equal(m.params[name].data, want), name
+        assert m.positions.dtype == np.float32
 
     def test_default_base_id_is_pinned(self):
         # the lineage of every existing checkpoint and adapter file: the
@@ -261,10 +273,11 @@ class TestDecodeStep:
         mdl.swap_adapters(m, adapters)
         src = [1, 3, 2]
         prefix = [4, 0]
-        got = decode1(m, encode1(m, src), prefix)
-        want = oracle_forward(m, adapters, src, prefix)
-        assert got.shape == (2, 5)
-        assert np.allclose(got, want, atol=1e-9)
+        for model in (m, H.float64(m)):
+            got = decode1(model, encode1(model, src), prefix)
+            want = oracle_forward(model, model.adapters, src, prefix)
+            assert got.shape == (2, 5)
+            assert np.allclose(got, want, atol=1e-9)
 
 
 class TestSwapAdapters:

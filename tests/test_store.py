@@ -174,6 +174,23 @@ class TestCheckpoint:
         assert mdl.lineage_fingerprint(back.config, back.params) != lineage
 
 
+class TestFloat32Storage:
+    def test_loaded_arrays_are_writable_float32_and_exact(self, tmp_path):
+        model = mdl.build_model(small_config())
+        adapters = mdl.fresh_adapters(model.config, "s1", seed=2)
+        store.save_checkpoint(model, tmp_path / "m.ckpt")
+        store.save_adapter(adapters, model.base_id, tmp_path / "s1.adapter")
+        back = store.load_checkpoint(tmp_path / "m.ckpt")
+        loaded = store.load_adapter(tmp_path / "s1.adapter", back)
+        for source in (model, back):
+            for name, t in source.named_parameters():
+                assert t.data.dtype == np.float32 and t.data.flags.writeable, name
+        for name, t in model.params.items():
+            assert np.array_equal(back.params[name].data, t.data), name
+        for (name, t), (_, u) in zip(adapters.named(), loaded.named()):
+            assert np.array_equal(u.data, t.data), name
+
+
 class TestCloneModel:
     def test_clone_is_independent_copy(self, monkeypatch):
         model = mdl.build_model(small_config())
