@@ -15,15 +15,28 @@ Subcommands:
 one command. Every command is deterministic given (--seed, config): reruns
 produce byte-identical artifacts. Exit codes: 0 ok, 1 runtime failure
 (one-line diagnostic on stderr), 2 usage.
+
+`pipeline` and `ablate` run their independent stages (each stage 1, stage 2
+and generate) as jobs in worker processes, one per usable CPU; data
+generation, metric LM fits and evaluation stay in the calling process.
+Artifacts and printed lines do not depend on the worker count; wall-time
+figures aside, they equal a one-worker run's. Each worker runs OpenBLAS on
+one thread. Memory is paid per worker: each holds its own model and
+training state.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
+import os
 import sys
 import time
+from collections.abc import Callable, Iterator
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -130,6 +143,132 @@ def ensure_base(cfg: RunConfig, ws: Workspace) -> mdl.Model:
 
 def base_sha(model: mdl.Model) -> str:
     return hashlib.sha256(model.base_bytes()).hexdigest()[:16]
+
+
+# ---------------------------------------------------------------------------
+# stage commands as jobs in worker processes
+
+
+@dataclass(frozen=True)
+class _Job:
+    """One stage command to run in a worker: `command(*args, **kwargs)`.
+
+    `needs` are the keys of the jobs whose artifacts it reads; a key that
+    names no job stands for an artifact already on disk. `writes` is a file
+    the caller reads after the job: a later job writing the same file starts
+    only once the caller has moved past this one. `urgent` jobs gate the
+    most work downstream and start ahead of other ready ones.
+    """
+
+    key: str
+    command: Callable[..., int]
+    args: tuple
+    kwargs: dict = field(default_factory=dict)
+    needs: tuple[str, ...] = ()
+    writes: Path | None = None
+    urgent: bool = False
+
+
+def _usable_cpus() -> int:
+    return len(os.sched_getaffinity(0))
+
+
+# OpenBLAS's thread-count setter in a system build, a numpy wheel's ILP64
+# build and its LP64 build
+_BLAS_THREAD_SETTERS = ("openblas_set_num_threads", "scipy_openblas_set_num_threads64_",
+                        "scipy_openblas_set_num_threads")
+
+
+def _one_blas_thread() -> None:
+    """Limit a worker's OpenBLAS to one thread.
+
+    There is one worker per usable CPU, so more BLAS threads only contend:
+    two forked workers of a matmul loop each ran 4x slower with OpenBLAS's
+    default of one thread per CPU than with one thread. numpy has no setter,
+    so each loaded OpenBLAS library's own is called; a process without
+    OpenBLAS is left as it is.
+    """
+    import ctypes
+
+    with open("/proc/self/maps", encoding="utf-8") as fh:
+        paths = {line.split()[-1] for line in fh if "openblas" in line.rsplit("/", 1)[-1]}
+    for path in sorted(paths):
+        lib = ctypes.CDLL(path)
+        for name in _BLAS_THREAD_SETTERS:
+            setter = getattr(lib, name, None)
+            if setter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                setter(1)
+                break
+
+
+def _captured(command: Callable[..., int], args: tuple, kwargs: dict) -> str:
+    """Run one stage command in a worker and return what it printed."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        command(*args, **kwargs)
+    return out.getvalue()
+
+
+def _run_jobs(jobs: list[_Job]) -> Iterator[str]:
+    """Run `jobs` in worker processes; yield each one's printed text in list order.
+
+    One worker per usable CPU, at most one per job, each with one BLAS
+    thread. A job starts once its `needs` have finished; no more jobs start
+    than there are workers, so an urgent job that becomes ready overtakes
+    every job not yet started.
+
+    When a job fails, no job after it in the list starts; the jobs before it
+    run on, and the first failure in list order is raised where its text
+    would have been yielded, so a failing run raises the error a sequential
+    run of the list would. Closing the generator lets the running jobs
+    finish and stops every worker.
+
+    The workers are forked: they need no `__main__` guard in the caller and
+    see the caller's module state, monkeypatches included. Outputs depend
+    only on the artifacts a job reads, never on the worker count or the
+    completion order.
+    """
+    import multiprocessing
+    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+    from concurrent.futures.process import BrokenProcessPool
+
+    index = {job.key: i for i, job in enumerate(jobs)}
+    needs = [[index[key] for key in job.needs if key in index] for job in jobs]
+    previous_writer, writer = [], {}
+    for i, job in enumerate(jobs):
+        previous_writer.append(writer.get(job.writes, -1))
+        if job.writes is not None:
+            writer[job.writes] = i
+    queue = sorted(range(len(jobs)), key=lambda i: (not jobs[i].urgent, i))
+    workers = max(1, min(_usable_cpus(), len(jobs)))
+    running, finished, first_failed = {}, {}, len(jobs)
+    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                               initializer=_one_blas_thread)
+    try:
+        for i, job in enumerate(jobs):
+            while i not in finished:
+                # jobs before i have been yielded, so their files have been read
+                for j in [j for j in queue if j < first_failed and previous_writer[j] < i
+                          and all(k in finished for k in needs[j])][:workers - len(running)]:
+                    queue.remove(j)
+                    running[pool.submit(_captured, jobs[j].command, jobs[j].args,
+                                        jobs[j].kwargs)] = j
+                done, _ = wait(running, return_when=FIRST_COMPLETED)
+                for future in done:
+                    j = running.pop(future)
+                    finished[j] = future
+                    if future.exception() is not None:
+                        first_failed = min(first_failed, j)
+            yield finished[i].result()
+    except BrokenProcessPool:
+        raise CliError(f"a worker process died; {job.key!r} did not finish") from None
+    finally:
+        pool.shutdown(wait=True, cancel_futures=True)
+
+
+def _print_next(outputs: Iterator[str]) -> None:
+    print(next(outputs), end="")
 
 
 # ---------------------------------------------------------------------------
@@ -279,15 +418,25 @@ def cmd_pipeline(cfg: RunConfig, ws: Workspace) -> int:
     ws.ensure_dirs()
     ensure_data(cfg, ws)
     save_config(cfg, ws.root / "config.txt")
-    for style in (STYLELESS,) + tuple(cfg.styles):
-        cmd_train_adapter(cfg, ws, style, cfg.mode)
-    for task in cfg.tasks:
-        cmd_train_task(cfg, ws, task, cfg.trainable)
-    for task in cfg.tasks:
-        lms, embeddings = metric_lms(cfg, ws, task), task_embeddings(cfg, ws, task)
-        for style in (STYLELESS,) + tuple(cfg.styles):
-            cmd_generate(cfg, ws, task, style)
-            cmd_evaluate(cfg, ws, task, style, lms=lms, embeddings=embeddings)
+    ensure_base(cfg, ws)  # before any job, so that no two workers build it
+    styles = (STYLELESS,) + tuple(cfg.styles)
+    adapter = {style: f"train-adapter {style}" for style in styles}
+    task_model = {task: f"train-task {task}" for task in cfg.tasks}
+    jobs = [_Job(adapter[style], cmd_train_adapter, (cfg, ws, style, cfg.mode),
+                 urgent=style == STYLELESS) for style in styles]
+    jobs += [_Job(task_model[task], cmd_train_task, (cfg, ws, task, cfg.trainable),
+                  needs=(adapter[STYLELESS],), urgent=True) for task in cfg.tasks]
+    jobs += [_Job(f"generate {task} {style}", cmd_generate, (cfg, ws, task, style),
+                  needs=(task_model[task], adapter[style]))
+             for task in cfg.tasks for style in styles]
+    with contextlib.closing(_run_jobs(jobs)) as outputs:
+        for _ in range(len(styles) + len(cfg.tasks)):
+            _print_next(outputs)
+        for task in cfg.tasks:
+            lms, embeddings = metric_lms(cfg, ws, task), task_embeddings(cfg, ws, task)
+            for style in styles:
+                _print_next(outputs)
+                cmd_evaluate(cfg, ws, task, style, lms=lms, embeddings=embeddings)
     print(f"pipeline: done in {time.time() - started:.0f}s "
           f"({len(cfg.tasks)} tasks x {len(cfg.styles) + 1} adapter sets)")
     return 0
@@ -298,21 +447,38 @@ def cmd_ablate(cfg: RunConfig, ws: Workspace, task: str) -> int:
     started = time.time()
     ws.ensure_dirs()
     ensure_data(cfg, ws)
-    for mode in training.MODES:
-        for style in (STYLELESS,) + tuple(cfg.styles):
-            if not ws.adapter_path(style, mode).exists():
-                cmd_train_adapter(cfg, ws, style, mode)
+    ensure_base(cfg, ws)  # before any job, so that no two workers build it
+    styles = (STYLELESS,) + tuple(cfg.styles)
+    jobs = [_Job(f"train-adapter {style} {mode}", cmd_train_adapter, (cfg, ws, style, mode),
+                 urgent=style == STYLELESS)
+            for mode in training.MODES for style in styles
+            if not ws.adapter_path(style, mode).exists()]
+    n_adapters = len(jobs)
+    # (row name, trainable, style adapters' mode, variant, train-task arguments);
+    # the cells of one mode share their output files, which the caller reads
+    # between one cell's generate jobs and the next's
+    cells = [(f"{mode}/{sel}", sel, mode, f"ablate-{mode}", {"s0_mode": mode})
+             for mode in training.MODES for sel in mdl.SELECTORS]
+    cells.append(("no-s0/enc", "enc", "inverse-para", "ablate-nos0", {"fresh_s0": True}))
+    for name, sel, mode, variant, kwargs in cells:
+        cell = f"train-task {name}"
+        s0_adapter = () if kwargs.get("fresh_s0") else (f"train-adapter {STYLELESS} {mode}",)
+        jobs.append(_Job(cell, cmd_train_task, (cfg, ws, task, sel),
+                         dict(variant=variant, **kwargs), needs=s0_adapter, urgent=True))
+        # style-less quality through the inverse-para s0, markers through each style
+        for style, style_mode in [(STYLELESS, "inverse-para")] + [(s, mode) for s in cfg.styles]:
+            jobs.append(_Job(f"generate {name} {style}", cmd_generate, (cfg, ws, task, style),
+                             dict(mode=style_mode, trainable=sel, variant=variant),
+                             needs=(cell, f"train-adapter {style} {style_mode}"),
+                             writes=ws.output_path(task, style, variant)))
     rows = []
-    lms = metric_lms(cfg, ws, task)
-    for mode in training.MODES:
-        for sel in mdl.SELECTORS:
-            variant = f"ablate-{mode}"
-            cmd_train_task(cfg, ws, task, sel, variant=variant, s0_mode=mode)
-            row = _ablate_row(cfg, ws, task, sel, mode, variant, lms)
-            rows.append((f"{mode}/{sel}", row))
-    cmd_train_task(cfg, ws, task, "enc", fresh_s0=True, variant="ablate-nos0")
-    rows.append(("no-s0/enc", _ablate_row(cfg, ws, task, "enc", "inverse-para",
-                                          "ablate-nos0", lms)))
+    with contextlib.closing(_run_jobs(jobs)) as outputs:
+        for _ in range(n_adapters):
+            _print_next(outputs)
+        lms = metric_lms(cfg, ws, task)
+        for name, sel, _, variant, _ in cells:
+            _print_next(outputs)
+            rows.append((name, _ablate_row(cfg, ws, task, sel, variant, lms, outputs)))
     table_path = ws.reports / f"ablation_{task}.txt"
     header = f"{'cell':24s} {'r1':>6s} {'rl':>6s} " + " ".join(
         f"marker.{s:>2s}" for s in cfg.styles)
@@ -326,19 +492,18 @@ def cmd_ablate(cfg: RunConfig, ws: Workspace, task: str) -> int:
     return 0
 
 
-def _ablate_row(cfg: RunConfig, ws: Workspace, task: str, trainable: str,
-                mode: str, variant: str, lms: MetricLMs) -> mx.MetricsReport:
-    """One grid cell: style-less quality metrics + per-style matched marker rates."""
+def _ablate_row(cfg: RunConfig, ws: Workspace, task: str, trainable: str, variant: str,
+                lms: MetricLMs, outputs: Iterator[str]) -> mx.MetricsReport:
+    """One grid cell from its generate jobs' outputs, s0's first, then each style's:
+    style-less quality metrics + per-style matched marker rates."""
     vocab = Vocab()
-    cmd_generate(cfg, ws, task, STYLELESS, mode="inverse-para", trainable=trainable,
-                 variant=variant)
+    _print_next(outputs)
     cmd_evaluate(cfg, ws, task, STYLELESS, variant=variant, trainable=trainable, lms=lms)
     row = mx.read_report(ws.report_path(task, STYLELESS, variant))
     for style in cfg.styles:
-        cmd_generate(cfg, ws, task, style, mode=mode, trainable=trainable,
-                     variant=variant)
-        outputs = read_corpus(ws.output_path(task, style, variant), vocab)
-        row.marker[style] = mx.style_marker_rate(outputs, style, vocab)
+        _print_next(outputs)
+        decoded = read_corpus(ws.output_path(task, style, variant), vocab)
+        row.marker[style] = mx.style_marker_rate(decoded, style, vocab)
     mx.write_report(row, ws.report_path(task, "grid", variant + f".{trainable.replace('+', '_')}"))
     return row
 

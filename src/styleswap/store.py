@@ -77,9 +77,11 @@ def _write(path: Path, magic: bytes, header: dict, named) -> None:
     body += _pack_records(named)
     body += hashlib.sha256(bytes(body)).digest()
     # a temporary file in the target's directory, then one rename: a reader
-    # sees the old file or the whole new one, never a partial write
+    # sees the old file or the whole new one, never a partial write. The
+    # name is the writer's own, so that processes writing one target never
+    # rename or unlink each other's half-written file.
     path = Path(path)
-    tmp = path.with_name(f".{path.name}.tmp")
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         tmp.write_bytes(body)
         os.replace(tmp, path)

@@ -1,9 +1,15 @@
 """CLI behavior at micro scale: exit codes, artifacts, determinism."""
 
+import contextlib
+import ctypes
 import hashlib
+import multiprocessing
 import os
+import re
+import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +20,7 @@ from styleswap import cli
 from styleswap import data as sd
 from styleswap import metrics as mx
 from styleswap import model as mdl
-from styleswap import store
+from styleswap import store, training
 
 MICRO = ["--set", "n_task=120", "--set", "n_style=120",
          "--set", "step1_epochs=1", "--set", "step2_epochs=1",
@@ -26,6 +32,35 @@ MICRO = ["--set", "n_task=120", "--set", "n_style=120",
 
 def run(workdir, *extra) -> int:
     return cli.main(["--workdir", str(workdir), "--seed", "3", *MICRO, *list(extra)])
+
+
+def micro_config():
+    return cli._resolve_config(cli._build_parser().parse_args(["--seed", "3", *MICRO,
+                                                               "pipeline"]))
+
+
+def blas_libraries() -> list[str]:
+    with open("/proc/self/maps", encoding="utf-8") as fh:
+        return sorted({line.split()[-1] for line in fh if "openblas" in line.rsplit("/", 1)[-1]})
+
+
+def print_blas_threads() -> int:
+    """A job for a worker: print how many threads its OpenBLAS runs."""
+    for path in blas_libraries():
+        lib = ctypes.CDLL(path)
+        for name in ("openblas_get_num_threads", "scipy_openblas_get_num_threads64_"):
+            if hasattr(lib, name):
+                print(getattr(lib, name)())
+                return 0
+    return 1
+
+
+def write_late(path: Path, text: str, delay: float) -> int:
+    """A job for a worker: wait `delay` seconds, then write and print `text`."""
+    time.sleep(delay)
+    path.write_text(text)
+    print(text, end="")
+    return 0
 
 
 def tree_digest(root: Path) -> dict:
@@ -265,6 +300,76 @@ class TestModuleEntryPoint:
         assert proc.returncode == 0
         assert proc.stdout.startswith("usage: styleswap")
 
+    def test_import_loads_no_process_pool_machinery(self):
+        src = Path(cli.__file__).resolve().parents[1]
+        code = ("import sys; sys.path.insert(0, sys.argv[1]); import styleswap.cli; "
+                "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))")
+        proc = subprocess.run([sys.executable, "-c", code, str(src)], capture_output=True,
+                              text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
+
+class TestJobs:
+    """`pipeline` and `ablate` run their stage commands in worker processes."""
+
+    @pytest.mark.parametrize("command", [("--set", "tasks=headline,story", "pipeline"),
+                                         ("ablate",)])
+    def test_worker_count_changes_no_artifact_or_line(self, tmp_path, monkeypatch, capsys,
+                                                      command):
+        ws, digests, printed = tmp_path / "w", [], []
+        for workers in (1, 2):
+            monkeypatch.setattr(cli, "_usable_cpus", lambda: workers)
+            assert run(ws, *command) == 0
+            assert multiprocessing.active_children() == []
+            digests.append(tree_digest(ws))
+            printed.append(re.sub(r"\d+s\b", "<wall>", capsys.readouterr().out))
+            shutil.rmtree(ws)
+        assert digests[0] == digests[1]
+        assert printed[0] == printed[1]
+
+    def test_workers_run_blas_on_one_thread(self):
+        if not blas_libraries():
+            pytest.skip("numpy is not linked to OpenBLAS")
+        jobs = [cli._Job(f"probe {i}", print_blas_threads, ()) for i in range(2)]
+        with contextlib.closing(cli._run_jobs(jobs)) as printed:
+            assert list(printed) == ["1\n", "1\n"]
+
+    def test_job_overwriting_a_file_waits_until_the_caller_read_it(self, tmp_path,
+                                                                   monkeypatch):
+        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
+        path = tmp_path / "shared.out"
+        # run together, "b" would write first and "a" last
+        jobs = [cli._Job(text, write_late, (path, text, delay), writes=path)
+                for text, delay in (("a", 0.3), ("b", 0.0))]
+        with contextlib.closing(cli._run_jobs(jobs)) as printed:
+            for job, text in zip(jobs, printed):
+                assert text == path.read_text() == job.key
+
+    def test_failing_job_stops_the_run_with_the_sequential_error(self, tmp_path, capsys):
+        ws = cli.Workspace(tmp_path)
+        assert run(tmp_path, "gen-data") == 0
+        base = cli.ensure_base(micro_config(), ws)
+        base.params["enc.0.self.wq"].data[0, 0] = np.nan
+        store.save_checkpoint(base, ws.base_init_path())
+        capsys.readouterr()
+        assert run(tmp_path, "train-adapter", "--style", "s0") == 1  # the first stage alone
+        sequential = capsys.readouterr().err
+        assert run(tmp_path, "pipeline") == 1
+        assert capsys.readouterr().err == sequential
+        assert len(sequential.splitlines()) == 1 and sequential.startswith("error: loss is nan")
+        assert multiprocessing.active_children() == []
+        assert not ws.task_model_path("headline", "enc").exists()
+        assert not list(ws.logs.glob("step2.*"))
+
+    def test_dead_worker_is_one_line_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(training, "train_task", lambda *a, **k: os._exit(3))
+        assert run(tmp_path, "pipeline") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: a worker process died; ") and len(err.splitlines()) == 1
+        assert multiprocessing.active_children() == []
+        assert not list((tmp_path / "reports").iterdir())
+
 
 class TestGradcheck:
     def test_exits_zero_under_threshold(self, capsys):
@@ -318,16 +423,25 @@ class TestGradcheck:
 
 class TestPipelineMicro:
     def test_pipeline_writes_report_per_task_style(self, tmp_path, monkeypatch):
-        fits, loads = [], []
+        fits, loads = [], tmp_path / "loads.txt"
         fit, load = mx.train_ngram_lm, store.load_checkpoint
+
+        def counted_load(path):
+            # a file, because the stage jobs load in forked workers
+            with open(loads, "a", encoding="utf-8") as fh:
+                fh.write(f"{Path(path).name}\n")
+            return load(path)
+
         monkeypatch.setattr(mx, "train_ngram_lm", lambda *a, **k: fits.append(1) or fit(*a, **k))
-        monkeypatch.setattr(store, "load_checkpoint", lambda path: loads.append(path) or load(path))
+        monkeypatch.setattr(store, "load_checkpoint", counted_load)
         ws = tmp_path / "pipe"
         assert run(ws, "pipeline") == 0
         assert len(fits) == 4  # one plain and three style LMs for the one task
-        # base for train-adapter s1-s3 and train-task (the built base is not
-        # reloaded), the task model once per generate, and once for evaluate
-        assert [p.name for p in loads] == ["base_init.ckpt"] * 4 + ["base_headline.enc.ckpt"] * 5
+        # the base, built by the pipeline itself, once per train-adapter s0-s3
+        # and train-task, each in its own worker; the task model once per
+        # generate, and once for evaluate
+        assert sorted(loads.read_text().split()) == (["base_headline.enc.ckpt"] * 5
+                                                     + ["base_init.ckpt"] * 5)
         for style in ("s0", "s1", "s2", "s3"):
             assert (ws / f"reports/headline.{style}.report.txt").exists()
         assert (ws / "config.txt").exists()

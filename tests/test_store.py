@@ -1,5 +1,7 @@
 """Checkpoint and adapter file format tests."""
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -111,6 +113,27 @@ class TestCheckpoint:
             store.save_checkpoint(mdl.build_model(small_config(seed=2)), path)
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
+
+    def test_processes_writing_one_target_do_not_collide(self, tmp_path):
+        path = tmp_path / "m.ckpt"
+        models = [mdl.build_model(toy_config()), mdl.build_model(mdl.ModelConfig(seed=1))]
+
+        def write_often(model):
+            for _ in range(20):
+                store.save_checkpoint(model, path)
+
+        fork = multiprocessing.get_context("fork")
+        writers = [fork.Process(target=write_often, args=(m,)) for m in models]
+        for writer in writers:
+            writer.start()
+        for writer in writers:
+            writer.join(timeout=120)
+        assert [w.exitcode for w in writers] == [0, 0]
+        assert store.load_checkpoint(path).base_id in {m.base_id for m in models}
+        assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
+        plain = tmp_path / "plain"
+        plain.write_bytes(b"")  # the mode any new file gets, as before
+        assert path.stat().st_mode == plain.stat().st_mode
 
     def test_missing_parameter_name_detected(self, tmp_path):
         model = mdl.build_model(small_config())
