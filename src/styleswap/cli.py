@@ -16,13 +16,14 @@ one command. Every command is deterministic given (--seed, config): reruns
 produce byte-identical artifacts. Exit codes: 0 ok, 1 runtime failure
 (one-line diagnostic on stderr), 2 usage.
 
-`pipeline` and `ablate` run their independent stages (each stage 1, stage 2
-and generate) as jobs in worker processes, one per usable CPU; data
-generation, metric LM fits and evaluation stay in the calling process.
-Artifacts and printed lines do not depend on the worker count; wall-time
-figures aside, they equal a one-worker run's. Each worker runs OpenBLAS on
-one thread. Memory is paid per worker: each holds its own model and
-training state.
+`pipeline` runs its independent stages (each stage 1, stage 2 and generate)
+as jobs in worker processes, one per usable CPU; data generation, metric LM
+fits and evaluation stay in the calling process. Artifacts and printed lines
+do not depend on the worker count; wall-time figures aside, they equal a
+one-worker run's. Each worker runs OpenBLAS on one thread. Memory is paid
+per worker: each holds its own model and training state. The workers are
+forked, so `pipeline` needs a platform with `fork` (Linux, macOS); elsewhere
+it exits 1 with a one-line error. `ablate` runs its stages one after another.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import os
 import sys
 import time
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -151,32 +152,31 @@ def base_sha(model: mdl.Model) -> str:
 
 @dataclass(frozen=True)
 class _Job:
-    """One stage command to run in a worker: `command(*args, **kwargs)`.
+    """One stage command to run in a worker: `command(*args)`.
 
     `needs` are the keys of the jobs whose artifacts it reads; a key that
-    names no job stands for an artifact already on disk. `writes` is a file
-    the caller reads after the job: a later job writing the same file starts
-    only once the caller has moved past this one. `urgent` jobs gate the
-    most work downstream and start ahead of other ready ones.
+    names no job stands for an artifact already on disk. `urgent` jobs gate
+    the most work downstream and start ahead of other ready ones.
     """
 
     key: str
     command: Callable[..., int]
     args: tuple
-    kwargs: dict = field(default_factory=dict)
     needs: tuple[str, ...] = ()
-    writes: Path | None = None
     urgent: bool = False
 
 
 def _usable_cpus() -> int:
-    return len(os.sched_getaffinity(0))
+    if hasattr(os, "sched_getaffinity"):  # the CPUs this process may run on
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 # OpenBLAS's thread-count setter in a system build, a numpy wheel's ILP64
 # build and its LP64 build
 _BLAS_THREAD_SETTERS = ("openblas_set_num_threads", "scipy_openblas_set_num_threads64_",
                         "scipy_openblas_set_num_threads")
+_LOADED_LIBRARIES = Path("/proc/self/maps")
 
 
 def _one_blas_thread() -> None:
@@ -185,12 +185,15 @@ def _one_blas_thread() -> None:
     There is one worker per usable CPU, so more BLAS threads only contend:
     two forked workers of a matmul loop each ran 4x slower with OpenBLAS's
     default of one thread per CPU than with one thread. numpy has no setter,
-    so each loaded OpenBLAS library's own is called; a process without
-    OpenBLAS is left as it is.
+    so each loaded OpenBLAS library's own is called. The libraries are found
+    in the process's memory map; a process without OpenBLAS, or on a
+    platform without that map, is left as it is.
     """
     import ctypes
 
-    with open("/proc/self/maps", encoding="utf-8") as fh:
+    if not _LOADED_LIBRARIES.exists():
+        return
+    with open(_LOADED_LIBRARIES, encoding="utf-8") as fh:
         paths = {line.split()[-1] for line in fh if "openblas" in line.rsplit("/", 1)[-1]}
     for path in sorted(paths):
         lib = ctypes.CDLL(path)
@@ -202,11 +205,11 @@ def _one_blas_thread() -> None:
                 break
 
 
-def _captured(command: Callable[..., int], args: tuple, kwargs: dict) -> str:
+def _captured(command: Callable[..., int], args: tuple) -> str:
     """Run one stage command in a worker and return what it printed."""
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
-        command(*args, **kwargs)
+        command(*args)
     return out.getvalue()
 
 
@@ -233,13 +236,10 @@ def _run_jobs(jobs: list[_Job]) -> Iterator[str]:
     from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
     from concurrent.futures.process import BrokenProcessPool
 
+    if "fork" not in multiprocessing.get_all_start_methods():
+        raise CliError("worker processes need the fork start method, which this platform lacks")
     index = {job.key: i for i, job in enumerate(jobs)}
     needs = [[index[key] for key in job.needs if key in index] for job in jobs]
-    previous_writer, writer = [], {}
-    for i, job in enumerate(jobs):
-        previous_writer.append(writer.get(job.writes, -1))
-        if job.writes is not None:
-            writer[job.writes] = i
     queue = sorted(range(len(jobs)), key=lambda i: (not jobs[i].urgent, i))
     workers = max(1, min(_usable_cpus(), len(jobs)))
     running, finished, first_failed = {}, {}, len(jobs)
@@ -248,12 +248,10 @@ def _run_jobs(jobs: list[_Job]) -> Iterator[str]:
     try:
         for i, job in enumerate(jobs):
             while i not in finished:
-                # jobs before i have been yielded, so their files have been read
-                for j in [j for j in queue if j < first_failed and previous_writer[j] < i
+                for j in [j for j in queue if j < first_failed
                           and all(k in finished for k in needs[j])][:workers - len(running)]:
                     queue.remove(j)
-                    running[pool.submit(_captured, jobs[j].command, jobs[j].args,
-                                        jobs[j].kwargs)] = j
+                    running[pool.submit(_captured, jobs[j].command, jobs[j].args)] = j
                 done, _ = wait(running, return_when=FIRST_COMPLETED)
                 for future in done:
                     j = running.pop(future)
@@ -447,38 +445,21 @@ def cmd_ablate(cfg: RunConfig, ws: Workspace, task: str) -> int:
     started = time.time()
     ws.ensure_dirs()
     ensure_data(cfg, ws)
-    ensure_base(cfg, ws)  # before any job, so that no two workers build it
-    styles = (STYLELESS,) + tuple(cfg.styles)
-    jobs = [_Job(f"train-adapter {style} {mode}", cmd_train_adapter, (cfg, ws, style, mode),
-                 urgent=style == STYLELESS)
-            for mode in training.MODES for style in styles
-            if not ws.adapter_path(style, mode).exists()]
-    n_adapters = len(jobs)
-    # (row name, trainable, style adapters' mode, variant, train-task arguments);
-    # the cells of one mode share their output files, which the caller reads
-    # between one cell's generate jobs and the next's
-    cells = [(f"{mode}/{sel}", sel, mode, f"ablate-{mode}", {"s0_mode": mode})
-             for mode in training.MODES for sel in mdl.SELECTORS]
-    cells.append(("no-s0/enc", "enc", "inverse-para", "ablate-nos0", {"fresh_s0": True}))
-    for name, sel, mode, variant, kwargs in cells:
-        cell = f"train-task {name}"
-        s0_adapter = () if kwargs.get("fresh_s0") else (f"train-adapter {STYLELESS} {mode}",)
-        jobs.append(_Job(cell, cmd_train_task, (cfg, ws, task, sel),
-                         dict(variant=variant, **kwargs), needs=s0_adapter, urgent=True))
-        # style-less quality through the inverse-para s0, markers through each style
-        for style, style_mode in [(STYLELESS, "inverse-para")] + [(s, mode) for s in cfg.styles]:
-            jobs.append(_Job(f"generate {name} {style}", cmd_generate, (cfg, ws, task, style),
-                             dict(mode=style_mode, trainable=sel, variant=variant),
-                             needs=(cell, f"train-adapter {style} {style_mode}"),
-                             writes=ws.output_path(task, style, variant)))
+    for mode in training.MODES:
+        for style in (STYLELESS,) + tuple(cfg.styles):
+            if not ws.adapter_path(style, mode).exists():
+                cmd_train_adapter(cfg, ws, style, mode)
     rows = []
-    with contextlib.closing(_run_jobs(jobs)) as outputs:
-        for _ in range(n_adapters):
-            _print_next(outputs)
-        lms = metric_lms(cfg, ws, task)
-        for name, sel, _, variant, _ in cells:
-            _print_next(outputs)
-            rows.append((name, _ablate_row(cfg, ws, task, sel, variant, lms, outputs)))
+    lms = metric_lms(cfg, ws, task)
+    for mode in training.MODES:
+        for sel in mdl.SELECTORS:
+            variant = f"ablate-{mode}"
+            cmd_train_task(cfg, ws, task, sel, variant=variant, s0_mode=mode)
+            row = _ablate_row(cfg, ws, task, sel, mode, variant, lms)
+            rows.append((f"{mode}/{sel}", row))
+    cmd_train_task(cfg, ws, task, "enc", fresh_s0=True, variant="ablate-nos0")
+    rows.append(("no-s0/enc", _ablate_row(cfg, ws, task, "enc", "inverse-para",
+                                          "ablate-nos0", lms)))
     table_path = ws.reports / f"ablation_{task}.txt"
     header = f"{'cell':24s} {'r1':>6s} {'rl':>6s} " + " ".join(
         f"marker.{s:>2s}" for s in cfg.styles)
@@ -492,18 +473,19 @@ def cmd_ablate(cfg: RunConfig, ws: Workspace, task: str) -> int:
     return 0
 
 
-def _ablate_row(cfg: RunConfig, ws: Workspace, task: str, trainable: str, variant: str,
-                lms: MetricLMs, outputs: Iterator[str]) -> mx.MetricsReport:
-    """One grid cell from its generate jobs' outputs, s0's first, then each style's:
-    style-less quality metrics + per-style matched marker rates."""
+def _ablate_row(cfg: RunConfig, ws: Workspace, task: str, trainable: str,
+                mode: str, variant: str, lms: MetricLMs) -> mx.MetricsReport:
+    """One grid cell: style-less quality metrics + per-style matched marker rates."""
     vocab = Vocab()
-    _print_next(outputs)
+    cmd_generate(cfg, ws, task, STYLELESS, mode="inverse-para", trainable=trainable,
+                 variant=variant)
     cmd_evaluate(cfg, ws, task, STYLELESS, variant=variant, trainable=trainable, lms=lms)
     row = mx.read_report(ws.report_path(task, STYLELESS, variant))
     for style in cfg.styles:
-        _print_next(outputs)
-        decoded = read_corpus(ws.output_path(task, style, variant), vocab)
-        row.marker[style] = mx.style_marker_rate(decoded, style, vocab)
+        cmd_generate(cfg, ws, task, style, mode=mode, trainable=trainable,
+                     variant=variant)
+        outputs = read_corpus(ws.output_path(task, style, variant), vocab)
+        row.marker[style] = mx.style_marker_rate(outputs, style, vocab)
     mx.write_report(row, ws.report_path(task, "grid", variant + f".{trainable.replace('+', '_')}"))
     return row
 

@@ -79,7 +79,10 @@ def _write(path: Path, magic: bytes, header: dict, named) -> None:
     # a temporary file in the target's directory, then one rename: a reader
     # sees the old file or the whole new one, never a partial write. The
     # name is the writer's own, so that processes writing one target never
-    # rename or unlink each other's half-written file.
+    # rename or unlink each other's half-written file. A writer killed
+    # outright (SIGKILL) leaves its temporary file behind, and no later
+    # writer reuses that name; such `.<name>.<pid>.tmp` files can be deleted
+    # whenever no command is writing.
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:

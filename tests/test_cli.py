@@ -9,7 +9,6 @@ import re
 import shutil
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
@@ -53,14 +52,6 @@ def print_blas_threads() -> int:
                 print(getattr(lib, name)())
                 return 0
     return 1
-
-
-def write_late(path: Path, text: str, delay: float) -> int:
-    """A job for a worker: wait `delay` seconds, then write and print `text`."""
-    time.sleep(delay)
-    path.write_text(text)
-    print(text, end="")
-    return 0
 
 
 def tree_digest(root: Path) -> dict:
@@ -311,16 +302,13 @@ class TestModuleEntryPoint:
 
 
 class TestJobs:
-    """`pipeline` and `ablate` run their stage commands in worker processes."""
+    """`pipeline` runs its stage commands in worker processes."""
 
-    @pytest.mark.parametrize("command", [("--set", "tasks=headline,story", "pipeline"),
-                                         ("ablate",)])
-    def test_worker_count_changes_no_artifact_or_line(self, tmp_path, monkeypatch, capsys,
-                                                      command):
+    def test_worker_count_changes_no_artifact_or_line(self, tmp_path, monkeypatch, capsys):
         ws, digests, printed = tmp_path / "w", [], []
         for workers in (1, 2):
             monkeypatch.setattr(cli, "_usable_cpus", lambda: workers)
-            assert run(ws, *command) == 0
+            assert run(ws, "--set", "tasks=headline,story", "pipeline") == 0
             assert multiprocessing.active_children() == []
             digests.append(tree_digest(ws))
             printed.append(re.sub(r"\d+s\b", "<wall>", capsys.readouterr().out))
@@ -335,16 +323,22 @@ class TestJobs:
         with contextlib.closing(cli._run_jobs(jobs)) as printed:
             assert list(printed) == ["1\n", "1\n"]
 
-    def test_job_overwriting_a_file_waits_until_the_caller_read_it(self, tmp_path,
-                                                                   monkeypatch):
-        monkeypatch.setattr(cli, "_usable_cpus", lambda: 2)
-        path = tmp_path / "shared.out"
-        # run together, "b" would write first and "a" last
-        jobs = [cli._Job(text, write_late, (path, text, delay), writes=path)
-                for text, delay in (("a", 0.3), ("b", 0.0))]
-        with contextlib.closing(cli._run_jobs(jobs)) as printed:
-            for job, text in zip(jobs, printed):
-                assert text == path.read_text() == job.key
+    def test_cpu_count_without_affinity(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        assert cli._usable_cpus() == 3
+
+    def test_blas_left_alone_without_a_memory_map(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "_LOADED_LIBRARIES", tmp_path / "no-maps")
+        cli._one_blas_thread()
+
+    def test_platform_without_fork_is_one_line_error(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        assert run(tmp_path, "pipeline") == 1
+        err = capsys.readouterr().err
+        assert err == ("error: worker processes need the fork start method, "
+                       "which this platform lacks\n")
+        assert not list((tmp_path / "adapters").iterdir())
 
     def test_failing_job_stops_the_run_with_the_sequential_error(self, tmp_path, capsys):
         ws = cli.Workspace(tmp_path)
