@@ -16,14 +16,14 @@ one command. Every command is deterministic given (--seed, config): reruns
 produce byte-identical artifacts. Exit codes: 0 ok, 1 runtime failure
 (one-line diagnostic on stderr), 2 usage.
 
-`pipeline` runs its independent stages (each stage 1, stage 2 and generate)
-as jobs in worker processes, one per usable CPU; data generation, metric LM
-fits and evaluation stay in the calling process. Artifacts and printed lines
-do not depend on the worker count; wall-time figures aside, they equal a
-one-worker run's. Each worker runs OpenBLAS on one thread. Memory is paid
-per worker: each holds its own model and training state. The workers are
-forked, so `pipeline` needs a platform with `fork` (Linux, macOS); elsewhere
-it exits 1 with a one-line error. `ablate` runs its stages one after another.
+`pipeline` and `ablate` run their stages through one job plan: each stage 1,
+stage 2 and generate is a job in a worker process, one per usable CPU; data
+generation, metric LM fits and evaluation stay in the calling process.
+Artifacts and printed lines do not depend on the worker count; wall-time
+figures aside, they equal a one-worker run's. Each worker runs OpenBLAS on
+one thread. Memory is paid per worker: each holds its own model and training
+state. The workers are forked, so both commands need a platform with `fork`
+(Linux, macOS); elsewhere they exit 1 with a one-line error.
 """
 
 from __future__ import annotations
@@ -265,10 +265,6 @@ def _run_jobs(jobs: list[_Job]) -> Iterator[str]:
         pool.shutdown(wait=True, cancel_futures=True)
 
 
-def _print_next(outputs: Iterator[str]) -> None:
-    print(next(outputs), end="")
-
-
 # ---------------------------------------------------------------------------
 # commands
 
@@ -410,84 +406,87 @@ def cmd_evaluate(cfg: RunConfig, ws: Workspace, task: str, style: str,
     return 0
 
 
+def _run_cells(cfg: RunConfig, ws: Workspace, adapters: list[tuple[str, str]],
+               cells: list[tuple[str, str, str, str, bool]]) -> None:
+    """Run stage 1 for `adapters`, stage 2 for `cells`, then generate and evaluate.
+
+    A cell (task, trainable, mode, variant, fresh_s0) trains with s0.<mode>, or
+    fresh identity adapters, and decodes every style through its <mode> adapter.
+    Each stage is a job keyed by the file it writes; unlisted adapters are read
+    from disk. Job texts print in plan order; outputs are evaluated here.
+    """
+    ws.ensure_dirs()
+    ensure_base(cfg, ws)  # before any job, so that no two workers build it
+    styles = (STYLELESS,) + tuple(cfg.styles)
+    adapter = lambda style, mode: ws.adapter_path(style, mode).name
+    jobs = [_Job(adapter(style, mode), cmd_train_adapter, (cfg, ws, style, mode),
+                 urgent=style == STYLELESS) for style, mode in adapters]
+    jobs += [_Job(ws.task_model_path(task, trainable, variant).name, cmd_train_task,
+                  (cfg, ws, task, trainable, fresh_s0, variant, mode),
+                  needs=() if fresh_s0 else (adapter(STYLELESS, mode),), urgent=True)
+             for task, trainable, mode, variant, fresh_s0 in cells]
+    jobs += [_Job(ws.output_path(task, style, variant).name, cmd_generate,
+                  (cfg, ws, task, style, None, mode, trainable, variant),
+                  needs=(ws.task_model_path(task, trainable, variant).name, adapter(style, mode)))
+             for task, trainable, mode, variant, _ in cells for style in styles]
+    lms = {}
+    with contextlib.closing(_run_jobs(jobs)) as outputs:
+        for _ in range(len(adapters) + len(cells)):
+            print(next(outputs), end="")
+        for task, trainable, _, variant, _ in cells:
+            if task not in lms:
+                lms[task] = metric_lms(cfg, ws, task)
+            embeddings = task_embeddings(cfg, ws, task, trainable, variant)
+            for style in styles:
+                print(next(outputs), end="")
+                cmd_evaluate(cfg, ws, task, style, variant, trainable=trainable,
+                             lms=lms[task], embeddings=embeddings)
+
+
 def cmd_pipeline(cfg: RunConfig, ws: Workspace) -> int:
     """Steps 1-3 end to end, then a MetricsReport per (task, style)."""
     started = time.time()
-    ws.ensure_dirs()
     ensure_data(cfg, ws)
     save_config(cfg, ws.root / "config.txt")
-    ensure_base(cfg, ws)  # before any job, so that no two workers build it
-    styles = (STYLELESS,) + tuple(cfg.styles)
-    adapter = {style: f"train-adapter {style}" for style in styles}
-    task_model = {task: f"train-task {task}" for task in cfg.tasks}
-    jobs = [_Job(adapter[style], cmd_train_adapter, (cfg, ws, style, cfg.mode),
-                 urgent=style == STYLELESS) for style in styles]
-    jobs += [_Job(task_model[task], cmd_train_task, (cfg, ws, task, cfg.trainable),
-                  needs=(adapter[STYLELESS],), urgent=True) for task in cfg.tasks]
-    jobs += [_Job(f"generate {task} {style}", cmd_generate, (cfg, ws, task, style),
-                  needs=(task_model[task], adapter[style]))
-             for task in cfg.tasks for style in styles]
-    with contextlib.closing(_run_jobs(jobs)) as outputs:
-        for _ in range(len(styles) + len(cfg.tasks)):
-            _print_next(outputs)
-        for task in cfg.tasks:
-            lms, embeddings = metric_lms(cfg, ws, task), task_embeddings(cfg, ws, task)
-            for style in styles:
-                _print_next(outputs)
-                cmd_evaluate(cfg, ws, task, style, lms=lms, embeddings=embeddings)
+    _run_cells(cfg, ws, [(style, cfg.mode) for style in (STYLELESS,) + tuple(cfg.styles)],
+               [(task, cfg.trainable, cfg.mode, "", False) for task in cfg.tasks])
     print(f"pipeline: done in {time.time() - started:.0f}s "
           f"({len(cfg.tasks)} tasks x {len(cfg.styles) + 1} adapter sets)")
     return 0
 
 
 def cmd_ablate(cfg: RunConfig, ws: Workspace, task: str) -> int:
-    """Grid of {inverse-para, denoise} x {enc, enc+catt, enc+catt+dec} + no-s0."""
+    """Grid of {inverse-para, denoise} x {enc, enc+catt, enc+catt+dec} + no-s0.
+
+    Each cell has its own variant and decodes every style, s0 included,
+    through its mode's adapters. The no-s0 cell's stage 2 trained with fresh
+    identity s0 adapters, which are never saved, so it decodes s0 through
+    s0.inverse-para. Adapters already on disk are reused.
+    """
+    if task not in cfg.tasks:
+        raise CliError(f"ablate --task {task}: not one of the config's tasks "
+                       f"({','.join(cfg.tasks)})")
     started = time.time()
-    ws.ensure_dirs()
     ensure_data(cfg, ws)
-    for mode in training.MODES:
-        for style in (STYLELESS,) + tuple(cfg.styles):
-            if not ws.adapter_path(style, mode).exists():
-                cmd_train_adapter(cfg, ws, style, mode)
-    rows = []
-    lms = metric_lms(cfg, ws, task)
-    for mode in training.MODES:
-        for sel in mdl.SELECTORS:
-            variant = f"ablate-{mode}"
-            cmd_train_task(cfg, ws, task, sel, variant=variant, s0_mode=mode)
-            row = _ablate_row(cfg, ws, task, sel, mode, variant, lms)
-            rows.append((f"{mode}/{sel}", row))
-    cmd_train_task(cfg, ws, task, "enc", fresh_s0=True, variant="ablate-nos0")
-    rows.append(("no-s0/enc", _ablate_row(cfg, ws, task, "enc", "inverse-para",
-                                          "ablate-nos0", lms)))
+    styles = (STYLELESS,) + tuple(cfg.styles)
+    adapters = [(style, mode) for mode in training.MODES for style in styles
+                if not ws.adapter_path(style, mode).exists()]
+    cells = {f"{mode}/{sel}": (task, sel, mode, f"ablate-{mode}-{sel.replace('+', '_')}", False)
+             for mode in training.MODES for sel in mdl.SELECTORS}
+    cells["no-s0/enc"] = (task, "enc", "inverse-para", "ablate-nos0", True)
+    _run_cells(cfg, ws, adapters, list(cells.values()))
+    width = max(map(len, cells))
+    lines = [f"{'cell':{width}s} {'r1':>6s} {'rl':>6s} "
+             + " ".join(f"marker.{s:>2s}" for s in cfg.styles)]
+    for name, (*_, variant, _) in cells.items():
+        report = {s: mx.read_report(ws.report_path(task, s, variant)) for s in styles}
+        lines.append(f"{name:{width}s} {report[STYLELESS].r1:6.3f} {report[STYLELESS].rl:6.3f} "
+                     + " ".join(f"{report[s].marker[s]:9.3f}" for s in cfg.styles))
     table_path = ws.reports / f"ablation_{task}.txt"
-    header = f"{'cell':24s} {'r1':>6s} {'rl':>6s} " + " ".join(
-        f"marker.{s:>2s}" for s in cfg.styles)
-    lines = [header]
-    for name, row in rows:
-        markers = " ".join(f"{row.marker[s]:9.3f}" for s in cfg.styles)
-        lines.append(f"{name:24s} {row.r1:6.3f} {row.rl:6.3f} {markers}")
     table_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     print("\n".join(lines))
-    print(f"ablate: {len(rows)} cells in {time.time() - started:.0f}s -> {table_path}")
+    print(f"ablate: {len(cells)} cells in {time.time() - started:.0f}s -> {table_path}")
     return 0
-
-
-def _ablate_row(cfg: RunConfig, ws: Workspace, task: str, trainable: str,
-                mode: str, variant: str, lms: MetricLMs) -> mx.MetricsReport:
-    """One grid cell: style-less quality metrics + per-style matched marker rates."""
-    vocab = Vocab()
-    cmd_generate(cfg, ws, task, STYLELESS, mode="inverse-para", trainable=trainable,
-                 variant=variant)
-    cmd_evaluate(cfg, ws, task, STYLELESS, variant=variant, trainable=trainable, lms=lms)
-    row = mx.read_report(ws.report_path(task, STYLELESS, variant))
-    for style in cfg.styles:
-        cmd_generate(cfg, ws, task, style, mode=mode, trainable=trainable,
-                     variant=variant)
-        outputs = read_corpus(ws.output_path(task, style, variant), vocab)
-        row.marker[style] = mx.style_marker_rate(outputs, style, vocab)
-    mx.write_report(row, ws.report_path(task, "grid", variant + f".{trainable.replace('+', '_')}"))
-    return row
 
 
 # ---------------------------------------------------------------------------

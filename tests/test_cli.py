@@ -3,6 +3,7 @@
 import contextlib
 import ctypes
 import hashlib
+import io
 import multiprocessing
 import os
 import re
@@ -71,6 +72,16 @@ def flow(tmp_path_factory):
     assert run(ws, "train-adapter", "--style", "s1") == 0
     assert run(ws, "train-task", "--task", "headline") == 0
     return ws
+
+
+@pytest.fixture(scope="module")
+def ablated(tmp_path_factory):
+    """A micro workdir after `ablate`, and what the command printed."""
+    ws, out = tmp_path_factory.mktemp("ablate"), io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert run(ws, "ablate", "--task", "headline") == 0
+    assert multiprocessing.active_children() == []
+    return ws, out.getvalue()
 
 
 class TestUsage:
@@ -302,13 +313,15 @@ class TestModuleEntryPoint:
 
 
 class TestJobs:
-    """`pipeline` runs its stage commands in worker processes."""
+    """`pipeline` and `ablate` run their stage commands in worker processes."""
 
-    def test_worker_count_changes_no_artifact_or_line(self, tmp_path, monkeypatch, capsys):
+    @pytest.mark.parametrize("command", ["pipeline", "ablate"])
+    def test_worker_count_changes_no_artifact_or_line(self, tmp_path, monkeypatch, capsys,
+                                                      command):
         ws, digests, printed = tmp_path / "w", [], []
         for workers in (1, 2):
             monkeypatch.setattr(cli, "_usable_cpus", lambda: workers)
-            assert run(ws, "--set", "tasks=headline,story", "pipeline") == 0
+            assert run(ws, "--set", "tasks=headline,story", command) == 0
             assert multiprocessing.active_children() == []
             digests.append(tree_digest(ws))
             printed.append(re.sub(r"\d+s\b", "<wall>", capsys.readouterr().out))
@@ -482,12 +495,51 @@ class TestPipelineMicro:
         assert headline.base_id == story.base_id
         assert headline.base_bytes() != story.base_bytes()
 
-    def test_ablate_grid_has_seven_rows(self, tmp_path):
-        ws = tmp_path / "abl"
-        assert run(ws, "ablate", "--task", "headline") == 0
+    def test_ablate_grid_has_seven_rows(self, ablated):
+        ws, _ = ablated
         table = (ws / "reports/ablation_headline.txt").read_text().splitlines()
         assert len(table) == 1 + 7  # header + 2x3 grid + no-s0
         names = [row.split()[0] for row in table[1:]]
         assert names == ["inverse-para/enc", "inverse-para/enc+catt",
                          "inverse-para/enc+catt+dec", "denoise/enc",
                          "denoise/enc+catt", "denoise/enc+catt+dec", "no-s0/enc"]
+
+    def test_ablate_table_columns_align(self, ablated):
+        ws, _ = ablated
+        header, *rows = (ws / "reports/ablation_headline.txt").read_text().splitlines()
+        r1_end = header.index(" r1 ") + 3
+        for row in rows:
+            assert re.match(r"\S+\s+\S+", row).end() == r1_end, row
+            assert len(row) == len(header)
+
+    def test_ablate_cells_decode_s0_through_their_own_mode(self, ablated):
+        _, out = ablated
+        s0_adapter = {line.split(".s0.")[-1][:-len(".out")]: line.split()[3]
+                      for line in out.splitlines()
+                      if line.startswith("generate: ") and ".s0." in line.split()[-1]}
+        assert s0_adapter == {
+            **{f"ablate-inverse-para-{sel}": "adapter=s0.inverse-para"
+               for sel in ("enc", "enc_catt", "enc_catt_dec")},
+            **{f"ablate-denoise-{sel}": "adapter=s0.denoise"
+               for sel in ("enc", "enc_catt", "enc_catt_dec")},
+            "ablate-nos0": "adapter=s0.inverse-para"}
+
+    def test_ablate_cells_keep_their_own_files(self, ablated):
+        ws, _ = ablated
+        variants = [f"ablate-{mode}-{sel}" for mode in ("inverse-para", "denoise")
+                    for sel in ("enc", "enc_catt", "enc_catt_dec")] + ["ablate-nos0"]
+        for variant in variants:
+            for style in ("s0", "s1", "s2", "s3"):
+                assert (ws / f"outputs/headline.{style}.{variant}.out").exists()
+                assert (ws / f"outputs/headline.{style}.{variant}.scores").exists()
+                assert (ws / f"reports/headline.{style}.{variant}.report.txt").exists()
+        assert len(list((ws / "models").glob("base_headline.*.ckpt"))) == len(variants)
+        assert not list(ws.rglob("*.grid.*"))
+
+    def test_ablate_task_outside_the_config_fails_before_training(self, tmp_path, capsys):
+        ws = tmp_path / "abl"
+        assert run(ws, "--set", "tasks=headline", "ablate", "--task", "story") == 1
+        err = capsys.readouterr().err
+        assert err == "error: ablate --task story: not one of the config's tasks (headline)\n"
+        assert not list(tmp_path.rglob("*.adapter"))
+
