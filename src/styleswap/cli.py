@@ -14,7 +14,9 @@ Subcommands:
 `python -m styleswap --preset toy pipeline` runs the default experiment in
 one command. Every command is deterministic given (--seed, config): reruns
 produce byte-identical artifacts. Exit codes: 0 ok, 1 runtime failure
-(one-line diagnostic on stderr), 2 usage.
+(one-line diagnostic on stderr), 2 usage. The config is the only source of
+a run's settings: `--mode`, `--trainable` and `--beam` are shorthands for
+its keys `mode`, `trainable` and `beam_size`, and override `--set`.
 
 `pipeline` and `ablate` run their stages through one job plan: each stage 1,
 stage 2 and generate is a job in a worker process, one per usable CPU; data
@@ -37,7 +39,7 @@ import os
 import sys
 import time
 from collections.abc import Callable, Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -48,7 +50,8 @@ from . import metrics as mx
 from . import model as mdl
 from . import store, training
 from .config import RunConfig, from_items, read_config_file, save_config
-from .data import STYLELESS, STYLES, TASKS, Vocab, child_seed, generate_data_dir, read_corpus
+from .data import (DELETE_RATE, MASK_RATE, STYLELESS, STYLES, TASKS, Vocab, child_seed,
+                   generate_data_dir, read_corpus)
 
 
 class CliError(RuntimeError):
@@ -106,8 +109,7 @@ def _require_data(cfg: RunConfig, ws: Workspace):
     except (KeyError, TypeError) as exc:
         raise CliError(f"{path}: malformed manifest ({exc!r})") from None
     want = {"seed": cfg.seed, "n_task": cfg.n_task, "n_style": cfg.n_style,
-            "mask_rate": cfg.mask_rate, "delete_rate": cfg.delete_rate,
-            "tasks": sorted(cfg.tasks)}
+            "mask_rate": MASK_RATE, "delete_rate": DELETE_RATE, "tasks": sorted(cfg.tasks)}
     differ = [f"{key} {have[key]!r} (data) vs {want[key]!r} (config)"
               for key in want if have[key] != want[key]]
     if differ:
@@ -272,15 +274,14 @@ def _run_jobs(jobs: list[_Job]) -> Iterator[str]:
 def cmd_gen_data(cfg: RunConfig, ws: Workspace) -> int:
     ws.ensure_dirs()
     manifest = generate_data_dir(ws.data, seed=cfg.seed, n_task=cfg.n_task,
-                                 n_style=cfg.n_style, mask_rate=cfg.mask_rate,
-                                 delete_rate=cfg.delete_rate, tasks=cfg.tasks)
+                                 n_style=cfg.n_style, tasks=cfg.tasks)
     print(f"gen-data: wrote {len(manifest['files'])} corpus files to {ws.data}")
     return 0
 
 
-def cmd_train_adapter(cfg: RunConfig, ws: Workspace, style: str, mode: str) -> int:
+def cmd_train_adapter(cfg: RunConfig, ws: Workspace, style: str) -> int:
     _require_data(cfg, ws)
-    vocab = Vocab()
+    vocab, mode = Vocab(), cfg.mode
     model = ensure_base(cfg, ws)
     splits = training.load_style_pairs(ws.data, style, mode, vocab, cfg.model.max_len)
     label = f"step1.{style}.{mode}"
@@ -296,18 +297,16 @@ def cmd_train_adapter(cfg: RunConfig, ws: Workspace, style: str, mode: str) -> i
     return 0
 
 
-def cmd_train_task(cfg: RunConfig, ws: Workspace, task: str, trainable: str,
-                   fresh_s0: bool = False, variant: str = "",
-                   s0_mode: str | None = None) -> int:
+def cmd_train_task(cfg: RunConfig, ws: Workspace, task: str, fresh_s0: bool = False,
+                   variant: str = "") -> int:
     _require_data(cfg, ws)
-    vocab = Vocab()
-    base = ensure_base(cfg, ws)
-    model = store.clone_model(base)
+    vocab, trainable = Vocab(), cfg.trainable
+    model = ensure_base(cfg, ws)
     if fresh_s0:
         adapters = mdl.fresh_adapters(model.config, STYLELESS,
                                       seed=child_seed(cfg.seed, "fresh-s0"))
     else:
-        adapter_file = ws.adapter_path(STYLELESS, s0_mode or cfg.mode)
+        adapter_file = ws.adapter_path(STYLELESS, cfg.mode)
         if not adapter_file.exists():
             raise CliError(f"{adapter_file} missing; run train-adapter --style s0 first")
         adapters = store.load_adapter(adapter_file, model)
@@ -325,59 +324,54 @@ def cmd_train_task(cfg: RunConfig, ws: Workspace, task: str, trainable: str,
     return 0
 
 
-def cmd_generate(cfg: RunConfig, ws: Workspace, task: str, style: str,
-                 beam: int | None = None, mode: str | None = None,
-                 trainable: str | None = None, variant: str = "",
+def cmd_generate(cfg: RunConfig, ws: Workspace, task: str, style: str, variant: str = "",
                  input_file: Path | None = None, output_file: Path | None = None) -> int:
     if input_file is None:
         _require_data(cfg, ws)
     vocab = Vocab()
-    trainable = trainable or cfg.trainable
-    model_path = ws.task_model_path(task, trainable, variant)
+    model_path = ws.task_model_path(task, cfg.trainable, variant)
     if not model_path.exists():
         raise CliError(f"{model_path} missing; run train-task first")
     model = store.load_checkpoint(model_path)
-    adapter_mode = mode or cfg.mode
-    adapter_file = ws.adapter_path(style, adapter_mode)
+    adapter_file = ws.adapter_path(style, cfg.mode)
     if not adapter_file.exists():
         raise CliError(f"{adapter_file} missing; run train-adapter first")
     src_path = Path(input_file) if input_file else ws.data / f"task_{task}.test.src"
     out_path = Path(output_file) if output_file else ws.output_path(task, style, variant)
     ws.ensure_dirs()
-    decode_cfg = cfg.decode_config(beam_size=beam)
-    results = dec.generate_batch(model, adapter_file, src_path, out_path, decode_cfg,
+    results = dec.generate_batch(model, adapter_file, src_path, out_path, cfg.decode,
                                  vocab, scores_file=out_path.with_suffix(".scores"))
     print(f"generate: base_sha={base_sha(model)} lineage={model.base_id[:16]} "
-          f"adapter={style}.{adapter_mode} beam={decode_cfg.beam_size} "
+          f"adapter={style}.{cfg.mode} beam={cfg.decode.beam_size} "
           f"inputs={len(results)} -> {out_path}")
     return 0
 
 
 MetricLMs = tuple[mx.NgramLM, dict[str, mx.NgramLM]]
+LM_ORDER, LM_K = 2, 0.1  # the metric LMs' n-gram order and add-k smoothing
 
 
-def metric_lms(cfg: RunConfig, ws: Workspace, task: str) -> MetricLMs:
+def metric_lms(ws: Workspace, task: str) -> MetricLMs:
     """The LMs that evaluate scores a task with: plain (task targets) and one per style."""
     vocab = Vocab()
     plain = mx.train_ngram_lm(read_corpus(ws.data / f"task_{task}.train.tgt", vocab),
-                              cfg.lm_order, cfg.lm_k, vocab, tag="plain")
+                              LM_ORDER, LM_K, vocab, tag="plain")
     styled = {style: mx.train_ngram_lm(read_corpus(ws.data / f"style_{style}.train.txt", vocab),
-                                       cfg.lm_order, cfg.lm_k, vocab, tag=style)
+                                       LM_ORDER, LM_K, vocab, tag=style)
               for style in STYLES}
     return plain, styled
 
 
-def task_embeddings(cfg: RunConfig, ws: Workspace, task: str, trainable: str | None = None,
+def task_embeddings(cfg: RunConfig, ws: Workspace, task: str,
                     variant: str = "") -> np.ndarray | None:
     """The task model's token embeddings, for the embedding metric; None if it is not trained."""
-    path = ws.task_model_path(task, trainable or cfg.trainable, variant)
+    path = ws.task_model_path(task, cfg.trainable, variant)
     return store.load_checkpoint(path).params["emb.tok"].data if path.exists() else None
 
 
 def cmd_evaluate(cfg: RunConfig, ws: Workspace, task: str, style: str,
                  variant: str = "", outputs_file: Path | None = None,
-                 trainable: str | None = None, lms: MetricLMs | None = None,
-                 embeddings: np.ndarray | None = None) -> int:
+                 lms: MetricLMs | None = None, embeddings: np.ndarray | None = None) -> int:
     """Score one output file.
 
     `lms` are the task's `metric_lms` and `embeddings` its `task_embeddings`;
@@ -393,9 +387,9 @@ def cmd_evaluate(cfg: RunConfig, ws: Workspace, task: str, style: str,
     if len(outputs) != len(references):
         raise CliError(f"{out_path}: {len(outputs)} outputs vs "
                        f"{len(references)} references")
-    plain_lm, style_lms = lms or metric_lms(cfg, ws, task)
+    plain_lm, style_lms = lms or metric_lms(ws, task)
     if embeddings is None:
-        embeddings = task_embeddings(cfg, ws, task, trainable, variant)
+        embeddings = task_embeddings(cfg, ws, task, variant)
     report = mx.evaluate_run(outputs, references, plain_lm, style_lms, vocab,
                              embeddings=embeddings)
     report_path = ws.report_path(task, style, variant)
@@ -410,36 +404,39 @@ def _run_cells(cfg: RunConfig, ws: Workspace, adapters: list[tuple[str, str]],
                cells: list[tuple[str, str, str, str, bool]]) -> None:
     """Run stage 1 for `adapters`, stage 2 for `cells`, then generate and evaluate.
 
-    A cell (task, trainable, mode, variant, fresh_s0) trains with s0.<mode>, or
-    fresh identity adapters, and decodes every style through its <mode> adapter.
+    A cell (task, trainable, mode, variant, fresh_s0) runs on cfg with its own
+    trainable and mode: it trains with s0.<mode>, or fresh identity adapters,
+    and decodes every style through its <mode> adapter.
     Each stage is a job keyed by the file it writes; unlisted adapters are read
     from disk. Job texts print in plan order; outputs are evaluated here.
     """
     ws.ensure_dirs()
     ensure_base(cfg, ws)  # before any job, so that no two workers build it
-    styles = (STYLELESS,) + tuple(cfg.styles)
+    styles = (STYLELESS,) + STYLES
     adapter = lambda style, mode: ws.adapter_path(style, mode).name
-    jobs = [_Job(adapter(style, mode), cmd_train_adapter, (cfg, ws, style, mode),
+    cell_cfg = {(trainable, mode): replace(cfg, trainable=trainable, mode=mode)
+               for _, trainable, mode, _, _ in cells}
+    jobs = [_Job(adapter(style, mode), cmd_train_adapter, (replace(cfg, mode=mode), ws, style),
                  urgent=style == STYLELESS) for style, mode in adapters]
     jobs += [_Job(ws.task_model_path(task, trainable, variant).name, cmd_train_task,
-                  (cfg, ws, task, trainable, fresh_s0, variant, mode),
+                  (cell_cfg[trainable, mode], ws, task, fresh_s0, variant),
                   needs=() if fresh_s0 else (adapter(STYLELESS, mode),), urgent=True)
              for task, trainable, mode, variant, fresh_s0 in cells]
     jobs += [_Job(ws.output_path(task, style, variant).name, cmd_generate,
-                  (cfg, ws, task, style, None, mode, trainable, variant),
+                  (cell_cfg[trainable, mode], ws, task, style, variant),
                   needs=(ws.task_model_path(task, trainable, variant).name, adapter(style, mode)))
              for task, trainable, mode, variant, _ in cells for style in styles]
     lms = {}
     with contextlib.closing(_run_jobs(jobs)) as outputs:
         for _ in range(len(adapters) + len(cells)):
             print(next(outputs), end="")
-        for task, trainable, _, variant, _ in cells:
+        for task, trainable, mode, variant, _ in cells:
             if task not in lms:
-                lms[task] = metric_lms(cfg, ws, task)
-            embeddings = task_embeddings(cfg, ws, task, trainable, variant)
+                lms[task] = metric_lms(ws, task)
+            embeddings = task_embeddings(cell_cfg[trainable, mode], ws, task, variant)
             for style in styles:
                 print(next(outputs), end="")
-                cmd_evaluate(cfg, ws, task, style, variant, trainable=trainable,
+                cmd_evaluate(cell_cfg[trainable, mode], ws, task, style, variant,
                              lms=lms[task], embeddings=embeddings)
 
 
@@ -448,10 +445,10 @@ def cmd_pipeline(cfg: RunConfig, ws: Workspace) -> int:
     started = time.time()
     ensure_data(cfg, ws)
     save_config(cfg, ws.root / "config.txt")
-    _run_cells(cfg, ws, [(style, cfg.mode) for style in (STYLELESS,) + tuple(cfg.styles)],
+    _run_cells(cfg, ws, [(style, cfg.mode) for style in (STYLELESS,) + STYLES],
                [(task, cfg.trainable, cfg.mode, "", False) for task in cfg.tasks])
     print(f"pipeline: done in {time.time() - started:.0f}s "
-          f"({len(cfg.tasks)} tasks x {len(cfg.styles) + 1} adapter sets)")
+          f"({len(cfg.tasks)} tasks x {len(STYLES) + 1} adapter sets)")
     return 0
 
 
@@ -468,7 +465,8 @@ def cmd_ablate(cfg: RunConfig, ws: Workspace, task: str) -> int:
                        f"({','.join(cfg.tasks)})")
     started = time.time()
     ensure_data(cfg, ws)
-    styles = (STYLELESS,) + tuple(cfg.styles)
+    save_config(cfg, ws.root / "config.txt")
+    styles = (STYLELESS,) + STYLES
     adapters = [(style, mode) for mode in training.MODES for style in styles
                 if not ws.adapter_path(style, mode).exists()]
     cells = {f"{mode}/{sel}": (task, sel, mode, f"ablate-{mode}-{sel.replace('+', '_')}", False)
@@ -477,11 +475,11 @@ def cmd_ablate(cfg: RunConfig, ws: Workspace, task: str) -> int:
     _run_cells(cfg, ws, adapters, list(cells.values()))
     width = max(map(len, cells))
     lines = [f"{'cell':{width}s} {'r1':>6s} {'rl':>6s} "
-             + " ".join(f"marker.{s:>2s}" for s in cfg.styles)]
+             + " ".join(f"marker.{s:>2s}" for s in STYLES)]
     for name, (*_, variant, _) in cells.items():
         report = {s: mx.read_report(ws.report_path(task, s, variant)) for s in styles}
         lines.append(f"{name:{width}s} {report[STYLELESS].r1:6.3f} {report[STYLELESS].rl:6.3f} "
-                     + " ".join(f"{report[s].marker[s]:9.3f}" for s in cfg.styles))
+                     + " ".join(f"{report[s].marker[s]:9.3f}" for s in STYLES))
     table_path = ws.reports / f"ablation_{task}.txt"
     table_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     print("\n".join(lines))
@@ -676,7 +674,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate")
     p.add_argument("--task", required=True, choices=TASKS)
     p.add_argument("--style", required=True, choices=[STYLELESS, *STYLES])
-    p.add_argument("--beam", type=int, default=None)
+    p.add_argument("--beam", type=int, default=None, dest="beam_size")
     p.add_argument("--mode", default=None, choices=training.MODES)
     p.add_argument("--trainable", default=None, choices=mdl.SELECTORS)
     p.add_argument("--input", type=Path, default=None)
@@ -693,15 +691,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_config(args) -> RunConfig:
-    """Config file keys, then --set and --seed on top; --preset replaces any preset key."""
+    """Config file keys, then --set, then the flags on top; --preset replaces any preset key."""
     items = read_config_file(args.config) if args.config is not None else {}
     for item in args.set:
         if "=" not in item:
             raise CliError(f"--set expects KEY=VALUE, got {item!r}")
         key, _, value = item.partition("=")
         items[key] = value
-    if args.seed is not None:
-        items["seed"] = str(args.seed)
+    for key in ("seed", "mode", "trainable", "beam_size"):  # the flags that set a key
+        if getattr(args, key, None) is not None:
+            items[key] = str(getattr(args, key))
     return from_items(items, preset=args.preset)
 
 
@@ -714,13 +713,11 @@ def main(argv=None) -> int:
         if args.command == "gen-data":
             return cmd_gen_data(cfg, ws)
         if args.command == "train-adapter":
-            return cmd_train_adapter(cfg, ws, args.style, args.mode or cfg.mode)
+            return cmd_train_adapter(cfg, ws, args.style)
         if args.command == "train-task":
-            return cmd_train_task(cfg, ws, args.task, args.trainable or cfg.trainable,
-                                  fresh_s0=args.fresh_s0)
+            return cmd_train_task(cfg, ws, args.task, fresh_s0=args.fresh_s0)
         if args.command == "generate":
-            return cmd_generate(cfg, ws, args.task, args.style, beam=args.beam,
-                                mode=args.mode, trainable=args.trainable,
+            return cmd_generate(cfg, ws, args.task, args.style,
                                 input_file=args.input, output_file=args.output)
         if args.command == "evaluate":
             return cmd_evaluate(cfg, ws, args.task, args.style,

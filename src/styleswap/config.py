@@ -1,11 +1,19 @@
 """Run configuration: run-level settings around the three stage configs.
 
-`RunConfig` holds what belongs to a run (preset, seed, corpora, per-stage
-epochs, pretraining mode, stage-2 trainable group, metric LM settings) and
+`RunConfig` holds what belongs to a run (preset, seed, corpus sizes and
+tasks, per-stage epochs, pretraining mode, stage-2 trainable group) and
 nests one `ModelConfig`, one `Hyper` and one `DecodeConfig`. Their own
 field defaults are the only copy of the model, optimiser and decode
 defaults. Each config checks its values when built, so a bad setting fails
 when the config is read, before any stage runs.
+
+A setting is a key only if a preset, a benchmark workload, an `ablate` cell,
+a subcommand flag, a planned measurement (`length_penalty`) or the micro
+tests (`max_out_len`) sets a second value for it; the model keys stay as the
+group that checkpoints record. Values that nothing varies are constants
+where they are used. Their former keys (`beta1`, `beta2`, `adam_eps`,
+`weight_decay`, `lm_order`, `lm_k`, `mask_rate`, `delete_rate`, `styles`)
+are unknown keys, an error in a config file as in `--set`.
 
 The "toy" preset is the set of defaults: a ~1M-parameter model and
 10k-sentence corpora sized for a desk run. The "paper" preset restores the
@@ -26,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
-from .data import STYLES, TASKS, Vocab
+from .data import TASKS, Vocab
 from .decoding import DecodeConfig
 from .model import SELECTORS, ModelConfig
 from .training import MODES, Hyper
@@ -44,10 +52,7 @@ class RunConfig:
     # corpora
     n_task: int = 10_000
     n_style: int = 10_000
-    mask_rate: float = 0.15
-    delete_rate: float = 0.10
     tasks: tuple[str, ...] = TASKS
-    styles: tuple[str, ...] = STYLES
     # training
     train: Hyper = field(default_factory=Hyper)
     step1_epochs: int = 5
@@ -56,38 +61,29 @@ class RunConfig:
     trainable: str = "enc"  # stage-2 selector
     # decoding
     decode: DecodeConfig = field(default_factory=DecodeConfig)
-    # metrics
-    lm_order: int = 2
-    lm_k: float = 0.1
 
     def __post_init__(self):
-        for key, names in (("tasks", TASKS), ("styles", STYLES)):
-            value = getattr(self, key)
-            if not value or not set(value) <= set(names) or len(set(value)) < len(value):
-                raise ValueError(f"{key} must be one or more distinct names from "
-                                 f"{','.join(names)}, got {','.join(value)!r}")
+        tasks = self.tasks
+        if not tasks or not set(tasks) <= set(TASKS) or len(set(tasks)) < len(tasks):
+            raise ValueError(f"tasks must be one or more distinct names from "
+                             f"{','.join(TASKS)}, got {','.join(tasks)!r}")
         for key, names in (("mode", MODES), ("trainable", SELECTORS)):
             if getattr(self, key) not in names:
                 raise ValueError(f"{key} must be one of {', '.join(names)}, "
                                  f"got {getattr(self, key)!r}")
-        for key in ("step1_epochs", "step2_epochs", "lm_order"):
+        for key in ("step1_epochs", "step2_epochs"):
             if getattr(self, key) < 1:
                 raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
         for key in ("n_task", "n_style"):
             if getattr(self, key) < MIN_CORPUS:
                 raise ValueError(f"{key} must be >= {MIN_CORPUS} so that every split is "
                                  f"non-empty, got {getattr(self, key)}")
-        if not self.lm_k > 0:  # also rejects nan
-            raise ValueError(f"lm_k must be > 0, got {self.lm_k}")
 
     def model_config(self) -> ModelConfig:
         return replace(self.model, vocab_size=len(Vocab()), seed=self.seed)
 
     def hyper(self, epochs: int, seed: int, log_path: Path | None = None) -> Hyper:
         return replace(self.train, epochs=epochs, seed=seed, log_path=log_path)
-
-    def decode_config(self, beam_size: int | None = None) -> DecodeConfig:
-        return self.decode if beam_size is None else replace(self.decode, beam_size=beam_size)
 
 
 _SECTIONS = ("model", "train", "decode")

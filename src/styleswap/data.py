@@ -49,6 +49,10 @@ N_KEYWORDS = 50
 N_FILLERS = 50
 N_MARKERS = 10
 
+# g_n's per-token mask and delete rates for the style corpora
+MASK_RATE = 0.15
+DELETE_RATE = 0.10
+
 
 def child_seed(seed: int, label: str) -> int:
     """Stable derived seed for an independent random stream."""
@@ -250,8 +254,7 @@ def strip_style_gp(vocab: Vocab, t: list[int], rng: np.random.Generator) -> list
     return out
 
 
-def build_style_corpus(vocab: Vocab, style_id: str, n: int, seed: int,
-                       mask_rate: float = 0.15, delete_rate: float = 0.10) -> StyleCorpus:
+def build_style_corpus(vocab: Vocab, style_id: str, n: int, seed: int) -> StyleCorpus:
     """Sentences plus (g_p(t), t) and (g_n(t), t) inputs for one style.
 
     style_id "s0" builds the style-less corpus: undecorated plain sentences.
@@ -265,7 +268,7 @@ def build_style_corpus(vocab: Vocab, style_id: str, n: int, seed: int,
         sent = plain if style_id == STYLELESS else stylize(vocab, plain, style_id, rng)
         sentences.append(sent)
         para_inputs.append(strip_style_gp(vocab, sent, rng))
-        noise_inputs.append(noise_gn(vocab, sent, mask_rate, delete_rate, rng))
+        noise_inputs.append(noise_gn(vocab, sent, MASK_RATE, DELETE_RATE, rng))
     return StyleCorpus(style_id, sentences, para_inputs, noise_inputs)
 
 
@@ -292,7 +295,6 @@ def read_corpus(path: Path, vocab: Vocab) -> list[list[int]]:
 
 
 def generate_data_dir(data_dir: Path, seed: int, n_task: int, n_style: int,
-                      mask_rate: float = 0.15, delete_rate: float = 0.10,
                       tasks: tuple[str, ...] = TASKS) -> dict:
     """Write every corpus file plus a manifest; byte-stable for fixed inputs."""
     vocab = Vocab()
@@ -301,7 +303,7 @@ def generate_data_dir(data_dir: Path, seed: int, n_task: int, n_style: int,
     manifest = {
         "seed": seed,
         "sizes": {"task": n_task, "style": n_style},
-        "noise": {"mask_rate": mask_rate, "delete_rate": delete_rate},
+        "noise": {"mask_rate": MASK_RATE, "delete_rate": DELETE_RATE},
         "splits": {},
         "files": [],
     }
@@ -319,7 +321,7 @@ def generate_data_dir(data_dir: Path, seed: int, n_task: int, n_style: int,
             emit(f"task_{task}.{split}.tgt", [pairs[i].y for i in idx])
 
     for style_id in (STYLELESS,) + STYLES:
-        corpus = build_style_corpus(vocab, style_id, n_style, seed, mask_rate, delete_rate)
+        corpus = build_style_corpus(vocab, style_id, n_style, seed)
         splits = split_indices(n_style)
         manifest["splits"][f"style_{style_id}"] = {k: [r.start, r.stop] for k, r in splits.items()}
         for split, idx in splits.items():

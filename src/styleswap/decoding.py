@@ -39,7 +39,7 @@ class DecodeConfig:
 
     def __post_init__(self):
         if self.beam_size < 1:
-            raise ValueError("beam_size must be >= 1")
+            raise ValueError(f"beam_size must be >= 1, got {self.beam_size}")
         if self.max_out_len < 1:
             raise ValueError(f"max_out_len must be >= 1, got {self.max_out_len}")
         if not self.length_penalty >= 0:  # also rejects nan

@@ -177,12 +177,6 @@ def load_checkpoint(path: Path) -> Model:
     return model_from_arrays(config, stored, reader.header["base_id"])
 
 
-def clone_model(model: Model) -> Model:
-    """Independent copy of the base (same lineage); adapter slot left empty."""
-    return model_from_arrays(model.config, {n: t.data.copy() for n, t in model.params.items()},
-                             model.base_id)
-
-
 # ---------------------------------------------------------------------------
 # adapter files
 

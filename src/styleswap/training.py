@@ -32,10 +32,6 @@ class Hyper:
     batch_size: int = 8
     epochs: int = 5
     patience: int = 2
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
-    weight_decay: float = 0.0
     seed: int = 0
     log_path: Path | None = None
 
@@ -43,19 +39,19 @@ class Hyper:
         for key in ("batch_size", "patience"):
             if getattr(self, key) < 1:
                 raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
-        for key in ("lr", "adam_eps"):
-            if not getattr(self, key) > 0:  # also rejects nan
-                raise ValueError(f"{key} must be > 0, got {getattr(self, key)}")
-        for key in ("beta1", "beta2"):
-            if not 0 <= getattr(self, key) < 1:
-                raise ValueError(f"{key} must be in [0, 1), got {getattr(self, key)}")
-        if not self.weight_decay >= 0:
-            raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        if not self.lr > 0:  # also rejects nan
+            raise ValueError(f"lr must be > 0, got {self.lr}")
+
+
+# Adam's moment decay rates and denominator epsilon (Kingma & Ba's defaults)
+BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 class AdamW:
-    """Decoupled-weight-decay Adam with bias correction, set by a stage's Hyper.
+    """Adam with bias correction and fixed betas and epsilon, at a stage's learning rate.
 
+    There is no weight-decay term: no run decays. The class keeps the name
+    AdamW, which the benchmark's optimiser trace hooks (`training.AdamW.step`).
     Moment buffers exist only for the named parameters handed in, i.e. the
     stage's trainable set.
     """
@@ -70,23 +66,20 @@ class AdamW:
         }
 
     def step(self) -> None:
-        hp = self.hp
+        lr = self.hp.lr
         self.step_count += 1
-        b1, b2 = hp.beta1, hp.beta2
-        bc1 = 1.0 - b1 ** self.step_count
-        bc2 = 1.0 - b2 ** self.step_count
+        bc1 = 1.0 - BETA1 ** self.step_count
+        bc2 = 1.0 - BETA2 ** self.step_count
         for name, t in self.named_params:
             if t.grad is None:
                 raise ValueError(f"adamw: trainable parameter {name!r} has no gradient")
             g = t.grad
             m, v = self.moments[name]
-            m *= b1
-            m += (1.0 - b1) * g
-            v *= b2
-            v += (1.0 - b2) * (g * g)
-            if hp.weight_decay:
-                t.data *= 1.0 - hp.lr * hp.weight_decay
-            t.data -= hp.lr * (m / bc1) / (np.sqrt(v / bc2) + hp.adam_eps)
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * (g * g)
+            t.data -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
 
     def zero_grad(self) -> None:
         for _, t in self.named_params:

@@ -2,23 +2,26 @@
 
 import pytest
 
+from styleswap import cli
 from styleswap import config as rc
 from styleswap.data import Vocab
 from styleswap.model import ModelConfig
 
-# Every key and default of the flat key namespace before the config was split
-# into nested model, optimiser and decode configs (`dropout` and `vocab_size`
-# were removed then).
+# Every key and its default: the flat key namespace from before the config was
+# split into nested model, optimiser and decode configs, less the keys removed
+# since (`dropout` and `vocab_size` then, and the nine in REMOVED_KEYS later).
 KEYS_BEFORE_SPLIT = {
     "preset": "toy", "d_model": 64, "n_heads": 4, "d_ffn": 128, "n_enc_layers": 2,
     "n_dec_layers": 2, "adapter_bottleneck": 16, "max_len": 64, "seed": 0,
-    "n_task": 10000, "n_style": 10000, "mask_rate": 0.15, "delete_rate": 0.1,
-    "tasks": ("headline", "story"), "styles": ("s1", "s2", "s3"), "lr": 0.001,
-    "batch_size": 8, "beta1": 0.9, "beta2": 0.999, "adam_eps": 1e-08,
-    "weight_decay": 0.0, "step1_epochs": 5, "step2_epochs": 5, "patience": 2,
+    "n_task": 10000, "n_style": 10000, "tasks": ("headline", "story"), "lr": 0.001,
+    "batch_size": 8, "step1_epochs": 5, "step2_epochs": 5, "patience": 2,
     "mode": "inverse-para", "trainable": "enc", "beam_size": 4, "max_out_len": 32,
-    "length_penalty": 0.0, "lm_order": 2, "lm_k": 0.1,
+    "length_penalty": 0.0,
 }
+# Former keys whose one value became a constant; each line as a config.txt wrote it.
+REMOVED_KEYS = {"mask_rate": "0.15", "delete_rate": "0.1", "styles": "s1,s2,s3",
+                "beta1": "0.9", "beta2": "0.999", "adam_eps": "1e-08", "weight_decay": "0.0",
+                "lm_order": "2", "lm_k": "0.1"}
 
 
 class TestPresets:
@@ -38,6 +41,10 @@ class TestPresets:
     def test_unknown_preset(self):
         with pytest.raises(ValueError, match="preset"):
             rc.apply_preset("huge")
+
+    def test_presets_name_only_keys(self):
+        for name, values in rc.PRESETS.items():
+            assert set(values) <= set(rc.flat_items(rc.RunConfig())), name
 
 
 class TestConfigFile:
@@ -74,10 +81,25 @@ class TestConfigFile:
     def test_keys_and_defaults_kept_through_the_split(self):
         assert rc.flat_items(rc.apply_preset("toy")) == KEYS_BEFORE_SPLIT
 
-    def test_removed_keys_rejected(self):
-        for key in ("dropout", "vocab_size"):
+    def test_removed_keys_rejected(self, tmp_path, capsys):
+        for key in ("dropout", "vocab_size", *REMOVED_KEYS):
             with pytest.raises(ValueError, match="unknown config keys"):
                 rc.parse_overrides(rc.RunConfig(), {key: "1"})
+        # through the CLI, from --set and from a config file: one line, exit 1, no files
+        path, workdir = tmp_path / "run.cfg", tmp_path / "w"
+        for key, value in REMOVED_KEYS.items():
+            path.write_text(f"{key}={value}\n")
+            for flags in (["--set", f"{key}={value}"], ["--config", str(path)]):
+                assert cli.main(["--workdir", str(workdir), *flags, "pipeline"]) == 1
+                assert capsys.readouterr().err == f"error: unknown config keys: ['{key}']\n"
+                assert not workdir.exists()
+        # a config.txt saved before the keys were removed
+        rc.save_config(rc.RunConfig(), path)
+        with open(path, "a") as fh:
+            fh.writelines(f"{key}={value}\n" for key, value in REMOVED_KEYS.items())
+        assert cli.main(["--workdir", str(workdir), "--config", str(path), "pipeline"]) == 1
+        assert capsys.readouterr().err == f"error: unknown config keys: {sorted(REMOVED_KEYS)}\n"
+        assert not workdir.exists()
 
     def test_save_writes_every_key(self, tmp_path):
         rc.save_config(rc.RunConfig(), tmp_path / "out.cfg")
@@ -103,10 +125,3 @@ class TestDerivedConfigs:
         cfg = rc.apply_preset("toy")
         hp = cfg.hyper(epochs=9, seed=42)
         assert hp.epochs == 9 and hp.seed == 42 and hp.lr == cfg.train.lr
-
-    def test_decode_config(self):
-        cfg = rc.apply_preset("paper")
-        assert cfg.decode_config().beam_size == 4
-        assert cfg.decode_config(beam_size=2).beam_size == 2
-        with pytest.raises(ValueError, match="beam_size"):
-            cfg.decode_config(beam_size=0)

@@ -214,19 +214,6 @@ class TestFloat32Storage:
             assert np.array_equal(u.data, t.data), name
 
 
-class TestCloneModel:
-    def test_clone_is_independent_copy(self, monkeypatch):
-        model = mdl.build_model(small_config())
-        monkeypatch.setattr(mdl, "build_model", None)
-        monkeypatch.setattr(store, "build_model", None, raising=False)
-        twin = store.clone_model(model)
-        assert list(twin.params) == list(model.params) and twin.groups == model.groups
-        assert twin.base_bytes() == model.base_bytes()
-        assert twin.base_id == model.base_id
-        twin.params["emb.tok"].data += 1.0
-        assert twin.base_bytes() != model.base_bytes()
-
-
 class TestAdapterFiles:
     def test_roundtrip_and_install(self, tmp_path):
         model = mdl.build_model(small_config())
@@ -251,7 +238,8 @@ class TestAdapterFiles:
         base = mdl.build_model(small_config())
         adapters = mdl.fresh_adapters(base.config, "s1")
         store.save_adapter(adapters, base.base_id, tmp_path / "s1.adapter")
-        tuned = store.clone_model(base)
+        store.save_checkpoint(base, tmp_path / "base.ckpt")
+        tuned = store.load_checkpoint(tmp_path / "base.ckpt")
         tuned.params["enc.0.self.wq"].data += 0.1
         store.load_adapter(tmp_path / "s1.adapter", tuned)  # must not raise
 
