@@ -26,6 +26,12 @@ figures aside, they equal a one-worker run's. Each worker runs OpenBLAS on
 one thread. Memory is paid per worker: each holds its own model and training
 state. The workers are forked, so both commands need a platform with `fork`
 (Linux, macOS); elsewhere they exit 1 with a one-line error.
+
+`generate` decodes its input in contiguous shards, one per usable CPU: the
+calling process decodes the first shard and forked workers the others, and
+the lines are joined in input order, so `.out` and `.scores` equal a one-CPU
+run's. It decodes in the calling process alone inside a `pipeline` or
+`ablate` worker and on a platform without `fork`.
 """
 
 from __future__ import annotations
@@ -33,13 +39,10 @@ from __future__ import annotations
 import argparse
 import contextlib
 import hashlib
-import io
 import json
-import os
 import sys
 import time
-from collections.abc import Callable, Iterator
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -52,6 +55,7 @@ from . import store, training
 from .config import RunConfig, from_items, read_config_file, save_config
 from .data import (DELETE_RATE, MASK_RATE, STYLELESS, STYLES, TASKS, Vocab, child_seed,
                    generate_data_dir, read_corpus)
+from .workers import WorkerError, _Job, _run_jobs
 
 
 class CliError(RuntimeError):
@@ -109,12 +113,16 @@ def _require_data(cfg: RunConfig, ws: Workspace):
     except (KeyError, TypeError) as exc:
         raise CliError(f"{path}: malformed manifest ({exc!r})") from None
     want = {"seed": cfg.seed, "n_task": cfg.n_task, "n_style": cfg.n_style,
-            "mask_rate": MASK_RATE, "delete_rate": DELETE_RATE, "tasks": sorted(cfg.tasks)}
+            "tasks": sorted(cfg.tasks)}
+    fixed = {"mask_rate": MASK_RATE, "delete_rate": DELETE_RATE}  # no setting changes these
     differ = [f"{key} {have[key]!r} (data) vs {want[key]!r} (config)"
               for key in want if have[key] != want[key]]
-    if differ:
-        raise CliError(f"{path} was generated with different settings: {', '.join(differ)}; "
-                       "use a fresh workdir or matching flags")
+    rates = [f"{key} {have[key]!r} (data) vs {fixed[key]!r} (this version)"
+             for key in fixed if have[key] != fixed[key]]
+    if differ or rates:
+        raise CliError(f"{path} was generated with different settings: "
+                       f"{', '.join(differ + rates)}; use a fresh workdir"
+                       + ("" if rates else " or matching flags"))
 
 
 def ensure_data(cfg: RunConfig, ws: Workspace) -> None:
@@ -146,125 +154,6 @@ def ensure_base(cfg: RunConfig, ws: Workspace) -> mdl.Model:
 
 def base_sha(model: mdl.Model) -> str:
     return hashlib.sha256(model.base_bytes()).hexdigest()[:16]
-
-
-# ---------------------------------------------------------------------------
-# stage commands as jobs in worker processes
-
-
-@dataclass(frozen=True)
-class _Job:
-    """One stage command to run in a worker: `command(*args)`.
-
-    `needs` are the keys of the jobs whose artifacts it reads; a key that
-    names no job stands for an artifact already on disk. `urgent` jobs gate
-    the most work downstream and start ahead of other ready ones.
-    """
-
-    key: str
-    command: Callable[..., int]
-    args: tuple
-    needs: tuple[str, ...] = ()
-    urgent: bool = False
-
-
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):  # the CPUs this process may run on
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-# OpenBLAS's thread-count setter in a system build, a numpy wheel's ILP64
-# build and its LP64 build
-_BLAS_THREAD_SETTERS = ("openblas_set_num_threads", "scipy_openblas_set_num_threads64_",
-                        "scipy_openblas_set_num_threads")
-_LOADED_LIBRARIES = Path("/proc/self/maps")
-
-
-def _one_blas_thread() -> None:
-    """Limit a worker's OpenBLAS to one thread.
-
-    There is one worker per usable CPU, so more BLAS threads only contend:
-    two forked workers of a matmul loop each ran 4x slower with OpenBLAS's
-    default of one thread per CPU than with one thread. numpy has no setter,
-    so each loaded OpenBLAS library's own is called. The libraries are found
-    in the process's memory map; a process without OpenBLAS, or on a
-    platform without that map, is left as it is.
-    """
-    import ctypes
-
-    if not _LOADED_LIBRARIES.exists():
-        return
-    with open(_LOADED_LIBRARIES, encoding="utf-8") as fh:
-        paths = {line.split()[-1] for line in fh if "openblas" in line.rsplit("/", 1)[-1]}
-    for path in sorted(paths):
-        lib = ctypes.CDLL(path)
-        for name in _BLAS_THREAD_SETTERS:
-            setter = getattr(lib, name, None)
-            if setter is not None:
-                setter.argtypes, setter.restype = [ctypes.c_int], None
-                setter(1)
-                break
-
-
-def _captured(command: Callable[..., int], args: tuple) -> str:
-    """Run one stage command in a worker and return what it printed."""
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out):
-        command(*args)
-    return out.getvalue()
-
-
-def _run_jobs(jobs: list[_Job]) -> Iterator[str]:
-    """Run `jobs` in worker processes; yield each one's printed text in list order.
-
-    One worker per usable CPU, at most one per job, each with one BLAS
-    thread. A job starts once its `needs` have finished; no more jobs start
-    than there are workers, so an urgent job that becomes ready overtakes
-    every job not yet started.
-
-    When a job fails, no job after it in the list starts; the jobs before it
-    run on, and the first failure in list order is raised where its text
-    would have been yielded, so a failing run raises the error a sequential
-    run of the list would. Closing the generator lets the running jobs
-    finish and stops every worker.
-
-    The workers are forked: they need no `__main__` guard in the caller and
-    see the caller's module state, monkeypatches included. Outputs depend
-    only on the artifacts a job reads, never on the worker count or the
-    completion order.
-    """
-    import multiprocessing
-    from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-    from concurrent.futures.process import BrokenProcessPool
-
-    if "fork" not in multiprocessing.get_all_start_methods():
-        raise CliError("worker processes need the fork start method, which this platform lacks")
-    index = {job.key: i for i, job in enumerate(jobs)}
-    needs = [[index[key] for key in job.needs if key in index] for job in jobs]
-    queue = sorted(range(len(jobs)), key=lambda i: (not jobs[i].urgent, i))
-    workers = max(1, min(_usable_cpus(), len(jobs)))
-    running, finished, first_failed = {}, {}, len(jobs)
-    pool = ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                               initializer=_one_blas_thread)
-    try:
-        for i, job in enumerate(jobs):
-            while i not in finished:
-                for j in [j for j in queue if j < first_failed
-                          and all(k in finished for k in needs[j])][:workers - len(running)]:
-                    queue.remove(j)
-                    running[pool.submit(_captured, jobs[j].command, jobs[j].args)] = j
-                done, _ = wait(running, return_when=FIRST_COMPLETED)
-                for future in done:
-                    j = running.pop(future)
-                    finished[j] = future
-                    if future.exception() is not None:
-                        first_failed = min(first_failed, j)
-            yield finished[i].result()
-    except BrokenProcessPool:
-        raise CliError(f"a worker process died; {job.key!r} did not finish") from None
-    finally:
-        pool.shutdown(wait=True, cancel_futures=True)
 
 
 # ---------------------------------------------------------------------------
@@ -730,7 +619,7 @@ def main(argv=None) -> int:
             return cmd_ablate(cfg, ws, args.task)
         raise CliError(f"unhandled command {args.command!r}")
     except (CliError, ValueError, OSError, store.StoreError, mdl.ConfigError,
-            mdl.AdapterError, training.NonFiniteLoss) as exc:
+            mdl.AdapterError, training.NonFiniteLoss, WorkerError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

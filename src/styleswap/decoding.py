@@ -17,6 +17,12 @@ candidates as a [hypotheses, vocab] array, and without length
 normalization it stops as soon as no active hypothesis can beat the best
 finished one. With a length penalty a longer hypothesis can still
 overtake, so that early stop would not be exact and is not taken.
+
+`generate_batch` checks every input line, then decodes the lines in
+`n = min(usable CPUs, lines)` contiguous shards of near-equal size: the
+calling process decodes shard 0 while forked workers (`workers`) decode the
+others, and the results are joined in input order. Each sentence is one
+`beam_search` call wherever it runs, so the files equal a one-CPU run's.
 """
 
 from __future__ import annotations
@@ -27,6 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autograd as ag
+from . import workers
 from .data import Vocab, read_corpus, write_corpus
 from .model import DecodeCache, Model, decode_logits_batch, encode_batch, swap_adapters
 
@@ -171,7 +178,11 @@ def beam_search(model: Model, adapters, x: list[int], cfg: DecodeConfig,
 def generate_batch(model: Model, adapter_file: Path, input_file: Path,
                    output_file: Path, cfg: DecodeConfig, vocab: Vocab,
                    scores_file: Path | None = None) -> list[DecodeResult]:
-    """Decode every input line in order; one output line per input line."""
+    """Decode every input line; one output line per input line, in input order.
+
+    Every line is checked before any is decoded. On any failure no file is
+    written, and no worker outlives the call.
+    """
     from .store import load_adapter
 
     if cfg.max_out_len > model.config.max_len:
@@ -179,16 +190,51 @@ def generate_batch(model: Model, adapter_file: Path, input_file: Path,
                          f"max_len={model.config.max_len}")
     adapters = load_adapter(adapter_file, model)
     inputs = read_corpus(input_file, vocab)
-    results = []
     for lineno, src in enumerate(inputs, start=1):
         if not src:
             raise ValueError(f"{input_file}:{lineno}: empty input sequence")
         if len(src) > model.config.max_len:
             raise ValueError(f"{input_file}:{lineno}: input longer than model max_len")
-        results.append(beam_search(model, adapters, src, cfg, vocab))
+    results = _decode_in_shards(model, adapters, inputs, cfg, vocab, output_file)
     write_corpus(output_file, [r.tokens for r in results], vocab)
     if scores_file is not None:
         with open(scores_file, "w", encoding="utf-8") as fh:
             for r in results:
                 fh.write(f"{r.score!r}\n")
     return results
+
+
+# (model, adapters, inputs, cfg, vocab, bounds) while a call decodes; forked workers inherit it
+_shards = None
+
+
+def _decode_shard(i: int) -> list[DecodeResult]:
+    """Decode shard `i` of `_shards`: in the caller, or in a forked worker."""
+    model, adapters, inputs, cfg, vocab, bounds = _shards
+    return [beam_search(model, adapters, src, cfg, vocab)
+            for src in inputs[bounds[i]:bounds[i + 1]]]
+
+
+def _decode_in_shards(model: Model, adapters, inputs: list[list[int]], cfg: DecodeConfig,
+                      vocab: Vocab, output_file: Path) -> list[DecodeResult]:
+    """`beam_search` every input, shard 0 here and the others in forked workers.
+
+    The first failing shard in shard order raises its error; a dead worker
+    raises `workers.WorkerError` naming `output_file`.
+    """
+    global _shards
+    n = max(1, min(workers._usable_cpus(), len(inputs)))
+    if n > 1 and not workers._can_fork():
+        n = 1
+    _shards = (model, adapters, inputs, cfg, vocab, [len(inputs) * i // n for i in range(n + 1)])
+    try:
+        if n == 1:
+            return _decode_shard(0)
+        with workers._pool(n - 1, lambda: str(output_file)) as pool:
+            futures = [pool.submit(_decode_shard, i) for i in range(1, n)]
+            results = _decode_shard(0)
+            for future in futures:
+                results += future.result()
+            return results
+    finally:
+        _shards = None

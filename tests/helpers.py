@@ -3,10 +3,12 @@ the beam-size-1 reference, the uncached decoder that the incremental one
 must match, the elementary-op forward that the fused autograd ops must
 match bit for bit, and the per-token-`choice` corpus generators whose random
 stream and output the fast ones must reproduce exactly. Also `float64`, the
-widened copy of a float32 model that the exact comparisons run on, and a
-model, batch and training step to compare two computations of."""
+widened copy of a float32 model that the exact comparisons run on, a
+model, batch and training step to compare two computations of, and
+`usable_cpus`, which sets how many CPUs the worker pools see."""
 
 import hashlib
+import os
 
 import numpy as np
 
@@ -18,6 +20,11 @@ from styleswap.data import Vocab
 
 BOS, EOS = 0, 1
 VOCAB = Vocab()
+
+
+def usable_cpus(monkeypatch, n: int) -> None:
+    """Let this process run on `n` CPUs; a pool worker still counts as one."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
 
 
 def _prefix_seed(seed: int, prefix: tuple[int, ...]) -> int:

@@ -11,18 +11,21 @@ import re
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from helpers import usable_cpus
 from styleswap import autograd as ag
 from styleswap import cli
 from styleswap import config as rc
 from styleswap import data as sd
+from styleswap import decoding as dec
 from styleswap import metrics as mx
 from styleswap import model as mdl
-from styleswap import store, training
+from styleswap import store, training, workers
 
 MICRO = ["--set", "n_task=120", "--set", "n_style=120",
          "--set", "step1_epochs=1", "--set", "step2_epochs=1",
@@ -55,6 +58,14 @@ def print_blas_threads() -> int:
                 print(getattr(lib, name)())
                 return 0
     return 1
+
+
+def seven_inputs(flow: Path, tmp_path: Path) -> Path:
+    """A 7-line input file: no CPU count from 2 to 6 splits it evenly."""
+    lines = (flow / "data/task_headline.train.src").read_text().splitlines()[:7]
+    path = tmp_path / "in.txt"
+    path.write_text("\n".join(lines) + "\n")
+    return path
 
 
 def tree_digest(root: Path) -> dict:
@@ -245,7 +256,8 @@ class TestOrdering:
         before = tree_digest(tmp_path)
         assert run(tmp_path, "pipeline") == 1
         err = capsys.readouterr().err
-        assert "mask_rate 0.2 (data) vs 0.15 (config)" in err and len(err.splitlines()) == 1
+        assert "mask_rate 0.2 (data) vs 0.15 (this version)" in err
+        assert err.endswith("; use a fresh workdir\n") and len(err.splitlines()) == 1
         assert tree_digest(tmp_path) == before
 
     def test_train_task_and_generate_follow_the_config_trainable(self, flow, tmp_path):
@@ -340,35 +352,60 @@ class TestModuleEntryPoint:
 class TestJobs:
     """`pipeline` and `ablate` run their stage commands in worker processes."""
 
-    @pytest.mark.parametrize("command", ["pipeline", "ablate"])
-    def test_worker_count_changes_no_artifact_or_line(self, tmp_path, monkeypatch, capsys,
+    @pytest.mark.parametrize("command", ["pipeline", "ablate", "generate"])
+    def test_worker_count_changes_no_artifact_or_line(self, flow, tmp_path, monkeypatch, capsys,
                                                       command):
         ws, digests, printed = tmp_path / "w", [], []
-        for workers in (1, 2):
-            monkeypatch.setattr(cli, "_usable_cpus", lambda: workers)
-            assert run(ws, "--set", "tasks=headline,story", command) == 0
+        src = seven_inputs(flow, tmp_path)  # shards of 3 and 4 lines, and of 2, 2 and 3
+        for cpus in (1, 2, 3) if command == "generate" else (1, 2):
+            usable_cpus(monkeypatch, cpus)
+            if command == "generate":
+                ws.mkdir()
+                assert run(flow, "generate", "--task", "headline", "--style", "s1",
+                           "--input", str(src), "--output", str(ws / "out.txt")) == 0
+            else:
+                assert run(ws, "--set", "tasks=headline,story", command) == 0
             assert multiprocessing.active_children() == []
             digests.append(tree_digest(ws))
             printed.append(re.sub(r"\d+s\b", "<wall>", capsys.readouterr().out))
             shutil.rmtree(ws)
-        assert digests[0] == digests[1]
-        assert printed[0] == printed[1]
+        assert all(d == digests[0] for d in digests)
+        assert all(p == printed[0] for p in printed)
+        if command == "generate":
+            assert sorted(digests[0]) == ["out.scores", "out.txt"]
 
     def test_workers_run_blas_on_one_thread(self):
         if not blas_libraries():
             pytest.skip("numpy is not linked to OpenBLAS")
-        jobs = [cli._Job(f"probe {i}", print_blas_threads, ()) for i in range(2)]
-        with contextlib.closing(cli._run_jobs(jobs)) as printed:
+        jobs = [workers._Job(f"probe {i}", print_blas_threads, ()) for i in range(2)]
+        with contextlib.closing(workers._run_jobs(jobs)) as printed:
             assert list(printed) == ["1\n", "1\n"]
+
+    def test_ready_jobs_start_before_the_next_text(self, monkeypatch):
+        from concurrent.futures import ProcessPoolExecutor
+
+        submitted, submit = [], ProcessPoolExecutor.submit
+
+        def spy(pool, fn, command, args):
+            submitted.append(args)
+            return submit(pool, fn, command, args)
+
+        monkeypatch.setattr(ProcessPoolExecutor, "submit", spy)
+        usable_cpus(monkeypatch, 2)
+        jobs = [workers._Job("a", print, ("a",)), workers._Job("b", print, ("b",), needs=("a",))]
+        with contextlib.closing(workers._run_jobs(jobs)) as printed:
+            assert next(printed) == "a\n"
+            assert submitted == [("a",), ("b",)]  # b, made ready by a, before a's text
+            assert next(printed) == "b\n"
 
     def test_cpu_count_without_affinity(self, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(os, "cpu_count", lambda: 3)
-        assert cli._usable_cpus() == 3
+        assert workers._usable_cpus() == 3
 
     def test_blas_left_alone_without_a_memory_map(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(cli, "_LOADED_LIBRARIES", tmp_path / "no-maps")
-        cli._one_blas_thread()
+        monkeypatch.setattr(workers, "_LOADED_LIBRARIES", tmp_path / "no-maps")
+        workers._one_blas_thread()
 
     def test_platform_without_fork_is_one_line_error(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
@@ -401,6 +438,83 @@ class TestJobs:
         assert err.startswith("error: a worker process died; ") and len(err.splitlines()) == 1
         assert multiprocessing.active_children() == []
         assert not list((tmp_path / "reports").iterdir())
+
+    def test_pipeline_workers_decode_without_workers_of_their_own(self, tmp_path, monkeypatch):
+        calls, pool, shard = tmp_path / "calls.txt", workers._pool, dec._decode_shard
+
+        def record(what):
+            with open(calls, "a", encoding="utf-8") as fh:  # workers write it too
+                fh.write(f"{what} {'worker' if workers._in_worker else 'caller'}\n")
+
+        monkeypatch.setattr(workers, "_pool", lambda n, *a: record(f"pool{n}") or pool(n, *a))
+        monkeypatch.setattr(dec, "_decode_shard", lambda i: record(f"shard{i}") or shard(i))
+        usable_cpus(monkeypatch, 2)
+        assert run(tmp_path / "w", "pipeline") == 0
+        assert sorted(set(calls.read_text().splitlines())) == ["pool2 caller", "shard0 worker"]
+        assert calls.read_text().count("shard0 worker") == 4  # one generate per style
+
+
+class TestShardedGenerate:
+    """A standalone `generate` decodes its input in shards, the caller taking shard 0."""
+
+    def generate(self, flow, src, out):
+        return run(flow, "generate", "--task", "headline", "--style", "s1",
+                   "--input", str(src), "--output", str(out))
+
+    @pytest.mark.parametrize("how", ["raises", "dies"])
+    def test_failing_worker_is_one_line_error(self, flow, tmp_path, monkeypatch, capsys, how):
+        beam_search = dec.beam_search
+
+        def planted(*args):
+            if not workers._in_worker:
+                return beam_search(*args)
+            if how == "dies":
+                os._exit(3)
+            raise ValueError("planted failure")
+
+        monkeypatch.setattr(dec, "beam_search", planted)
+        usable_cpus(monkeypatch, 2)
+        out = tmp_path / "out.txt"
+        assert self.generate(flow, seven_inputs(flow, tmp_path), out) == 1
+        err = capsys.readouterr().err
+        assert err == ("error: planted failure\n" if how == "raises" else
+                       f"error: a worker process died; {str(out)!r} did not finish\n")
+        assert multiprocessing.active_children() == []
+        assert not out.exists() and not out.with_suffix(".scores").exists()
+
+    @pytest.mark.parametrize("first", ["k00", "k01"])
+    def test_first_failing_shard_in_shard_order_is_raised(self, flow, tmp_path, monkeypatch,
+                                                          capsys, first):
+        src, out = tmp_path / "in.txt", tmp_path / "out.txt"
+        src.write_text("k00\nk01\nk02\n")  # one line per shard
+        beam_search, vocab = dec.beam_search, sd.Vocab()
+
+        def planted(model, adapters, x, cfg, voc):
+            (line,) = vocab.decode(x)
+            if line < first:
+                return beam_search(model, adapters, x, cfg, voc)
+            if line != "k02":  # the last shard fails first
+                time.sleep(0.5)
+            raise ValueError(f"planted at {line}")
+
+        monkeypatch.setattr(dec, "beam_search", planted)
+        usable_cpus(monkeypatch, 3)
+        assert self.generate(flow, src, out) == 1
+        assert capsys.readouterr().err == f"error: planted at {first}\n"
+        assert multiprocessing.active_children() == []
+        assert not out.exists()
+
+    def test_without_fork_generate_decodes_in_the_caller(self, flow, tmp_path, monkeypatch,
+                                                         capsys):
+        src, out = seven_inputs(flow, tmp_path), tmp_path / "out.txt"
+        usable_cpus(monkeypatch, 2)
+        assert self.generate(flow, src, out) == 0
+        forked = out.read_bytes(), out.with_suffix(".scores").read_bytes(), capsys.readouterr()
+        monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        monkeypatch.setattr(workers, "_pool", None)
+        assert self.generate(flow, src, out) == 0
+        assert (out.read_bytes(), out.with_suffix(".scores").read_bytes(),
+                capsys.readouterr()) == forked
 
 
 class TestGradcheck:

@@ -1,15 +1,19 @@
 """Decoder tests: handcrafted tables, the exhaustive oracle, and file I/O."""
 
+import ctypes
+import multiprocessing
+import os
+
 import numpy as np
 import pytest
 
 from helpers import (BOS, EOS, exhaustive_best, float64, full_prefix_step_fn, greedy_core,
-                     list_beam_core, table_step_fn)
+                     list_beam_core, table_step_fn, usable_cpus)
 from styleswap import autograd as ag
 from styleswap import data as sd
 from styleswap import decoding as dec
 from styleswap import model as mdl
-from styleswap import store
+from styleswap import store, workers
 
 
 def fixed_table(rows):
@@ -407,3 +411,81 @@ class TestGenerateBatch:
         with pytest.raises(ValueError, match="in.txt:2"):
             dec.generate_batch(model, tmp_path / "a.adapter", tmp_path / "in.txt",
                                tmp_path / "out.txt", dec.DecodeConfig(max_out_len=4), vocab)
+
+    def test_every_line_is_checked_before_any_is_decoded(self, tiny_setup, tmp_path,
+                                                         monkeypatch):
+        vocab, model, adapters = tiny_setup
+        store.save_adapter(adapters, model.base_id, tmp_path / "a.adapter")
+        (tmp_path / "in.txt").write_text("k00 k01\nk02\n\n")
+        decoded = []
+        monkeypatch.setattr(dec, "beam_search", lambda *a: decoded.append(a))
+        with pytest.raises(ValueError, match=r"in.txt:3: empty input sequence$"):
+            dec.generate_batch(model, tmp_path / "a.adapter", tmp_path / "in.txt",
+                               tmp_path / "out.txt", dec.DecodeConfig(max_out_len=4), vocab)
+        assert decoded == []
+        assert not (tmp_path / "out.txt").exists()
+
+
+def pid() -> float:
+    return float(os.getpid())
+
+
+def blas_threads() -> int:
+    """How many threads this process's OpenBLAS runs; 0 without OpenBLAS."""
+    with open("/proc/self/maps", encoding="utf-8") as fh:
+        paths = {line.split()[-1] for line in fh if "openblas" in line.rsplit("/", 1)[-1]}
+    for path in sorted(paths):
+        lib = ctypes.CDLL(path)
+        for name in ("openblas_get_num_threads", "scipy_openblas_get_num_threads64_"):
+            if hasattr(lib, name):
+                return getattr(lib, name)()
+    return 0
+
+
+class TestShards:
+    """`generate_batch` splits its input into contiguous shards, shard 0 in the caller."""
+
+    def decode(self, tiny_setup, tmp_path, lines, monkeypatch, probe):
+        vocab, model, adapters = tiny_setup
+        store.save_adapter(adapters, model.base_id, tmp_path / "a.adapter")
+        (tmp_path / "in.txt").write_text("".join(f"k{i:02d}\n" for i in range(lines)))
+        monkeypatch.setattr(dec, "beam_search",
+                            lambda model, adapters, x, cfg, vocab: dec.DecodeResult(x, probe()))
+        return dec.generate_batch(model, tmp_path / "a.adapter", tmp_path / "in.txt",
+                                  tmp_path / "out.txt", dec.DecodeConfig(max_out_len=4), vocab,
+                                  scores_file=tmp_path / "out.scores")
+
+    @pytest.mark.parametrize("cpus, lines, sizes", [(1, 5, [5]), (2, 5, [2, 3]),
+                                                    (3, 7, [2, 2, 3]), (4, 2, [1, 1])])
+    def test_contiguous_shards_join_in_input_order(self, tiny_setup, tmp_path, monkeypatch,
+                                                   cpus, lines, sizes):
+        usable_cpus(monkeypatch, cpus)
+        bounds = set()
+
+        def probe():
+            if not workers._in_worker:
+                bounds.add(tuple(dec._shards[-1]))
+            return pid()
+
+        results = self.decode(tiny_setup, tmp_path, lines, monkeypatch, probe)
+        assert (tmp_path / "out.txt").read_text() == "".join(f"k{i:02d}\n" for i in range(lines))
+        pids = [r.score for r in results]
+        assert (tmp_path / "out.scores").read_text() == "".join(f"{p!r}\n" for p in pids)
+        assert bounds == {tuple(np.cumsum([0, *sizes]))}
+        # the caller decodes shard 0 and workers the others
+        assert pids[:sizes[0]] == [pid()] * sizes[0] and pid() not in pids[sizes[0]:]
+        assert multiprocessing.active_children() == []
+
+    def test_shard_workers_run_blas_on_one_thread(self, tiny_setup, tmp_path, monkeypatch):
+        if not blas_threads():
+            pytest.skip("numpy is not linked to OpenBLAS")
+        usable_cpus(monkeypatch, 3)
+        results = self.decode(tiny_setup, tmp_path, 6, monkeypatch, blas_threads)
+        assert [r.score for r in results[2:]] == [1.0] * 4
+
+    def test_a_worker_counts_as_one_cpu(self, tiny_setup, tmp_path, monkeypatch):
+        usable_cpus(monkeypatch, 3)
+        monkeypatch.setattr(workers, "_in_worker", True)
+        monkeypatch.setattr(workers, "_pool", None)
+        results = self.decode(tiny_setup, tmp_path, 4, monkeypatch, pid)
+        assert {r.score for r in results} == {pid()}
