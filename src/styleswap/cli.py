@@ -4,8 +4,8 @@ Subcommands:
 
   gen-data       write the synthetic corpora + manifest into <workdir>/data
   train-adapter  stage 1 for one style (--style, --mode)
-  train-task     stage 2 for one task (--task, --trainable, [--fresh-s0])
-  generate       decode the task test set through a chosen adapter
+  train-task     stage 2 for one task (--task, --trainable) through s0.<mode>
+  generate       decode the task test set through <style>.<mode>
   evaluate       score one generation run into a key=value report
   pipeline       end to end: data, all adapters, all tasks, generate, evaluate
   gradcheck      finite-difference audit of the fused ops and a decoder-step loss
@@ -156,6 +156,21 @@ def base_sha(model: mdl.Model) -> str:
     return hashlib.sha256(model.base_bytes()).hexdigest()[:16]
 
 
+def stage_adapters(cfg: RunConfig, ws: Workspace, model: mdl.Model, style: str,
+                   fresh_s0: bool = False) -> mdl.AdapterSet:
+    """The AdapterSet that stage 2 and generate run `style` through on `model`.
+
+    That is the workdir's <style>.<mode> file, except for s0 with `fresh_s0`:
+    then it is the identity set that the no-s0 cell's stage 2 trains with.
+    """
+    if fresh_s0 and style == STYLELESS:
+        return mdl.fresh_adapters(model.config, STYLELESS, seed=child_seed(cfg.seed, "fresh-s0"))
+    path = ws.adapter_path(style, cfg.mode)
+    if not path.exists():
+        raise CliError(f"{path} missing; run train-adapter --style {style} first")
+    return store.load_adapter(path, model)
+
+
 # ---------------------------------------------------------------------------
 # commands
 
@@ -171,8 +186,8 @@ def cmd_gen_data(cfg: RunConfig, ws: Workspace) -> int:
 def cmd_train_adapter(cfg: RunConfig, ws: Workspace, style: str) -> int:
     _require_data(cfg, ws)
     vocab, mode = Vocab(), cfg.mode
-    model = ensure_base(cfg, ws)
     splits = training.load_style_pairs(ws.data, style, mode, vocab, cfg.model.max_len)
+    model = ensure_base(cfg, ws)
     label = f"step1.{style}.{mode}"
     hp = cfg.hyper(epochs=cfg.step1_epochs, seed=child_seed(cfg.seed, label),
                    log_path=ws.logs / f"{label}.jsonl")
@@ -186,20 +201,13 @@ def cmd_train_adapter(cfg: RunConfig, ws: Workspace, style: str) -> int:
     return 0
 
 
-def cmd_train_task(cfg: RunConfig, ws: Workspace, task: str, fresh_s0: bool = False,
-                   variant: str = "") -> int:
+def cmd_train_task(cfg: RunConfig, ws: Workspace, task: str, variant: str = "",
+                   fresh_s0: bool = False) -> int:
     _require_data(cfg, ws)
     vocab, trainable = Vocab(), cfg.trainable
-    model = ensure_base(cfg, ws)
-    if fresh_s0:
-        adapters = mdl.fresh_adapters(model.config, STYLELESS,
-                                      seed=child_seed(cfg.seed, "fresh-s0"))
-    else:
-        adapter_file = ws.adapter_path(STYLELESS, cfg.mode)
-        if not adapter_file.exists():
-            raise CliError(f"{adapter_file} missing; run train-adapter --style s0 first")
-        adapters = store.load_adapter(adapter_file, model)
     splits = training.load_task_pairs(ws.data, task, vocab, cfg.model.max_len)
+    model = ensure_base(cfg, ws)
+    adapters = stage_adapters(cfg, ws, model, STYLELESS, fresh_s0)
     label = f"step2.{task}.{trainable}" + (f".{variant}" if variant else "")
     hp = cfg.hyper(epochs=cfg.step2_epochs, seed=child_seed(cfg.seed, label),
                    log_path=ws.logs / f"{label}.jsonl")
@@ -214,7 +222,8 @@ def cmd_train_task(cfg: RunConfig, ws: Workspace, task: str, fresh_s0: bool = Fa
 
 
 def cmd_generate(cfg: RunConfig, ws: Workspace, task: str, style: str, variant: str = "",
-                 input_file: Path | None = None, output_file: Path | None = None) -> int:
+                 fresh_s0: bool = False, input_file: Path | None = None,
+                 output_file: Path | None = None) -> int:
     if input_file is None:
         _require_data(cfg, ws)
     vocab = Vocab()
@@ -222,16 +231,14 @@ def cmd_generate(cfg: RunConfig, ws: Workspace, task: str, style: str, variant: 
     if not model_path.exists():
         raise CliError(f"{model_path} missing; run train-task first")
     model = store.load_checkpoint(model_path)
-    adapter_file = ws.adapter_path(style, cfg.mode)
-    if not adapter_file.exists():
-        raise CliError(f"{adapter_file} missing; run train-adapter first")
+    adapters = stage_adapters(cfg, ws, model, style, fresh_s0)
     src_path = Path(input_file) if input_file else ws.data / f"task_{task}.test.src"
     out_path = Path(output_file) if output_file else ws.output_path(task, style, variant)
     ws.ensure_dirs()
-    results = dec.generate_batch(model, adapter_file, src_path, out_path, cfg.decode,
+    results = dec.generate_batch(model, adapters, src_path, out_path, cfg.decode,
                                  vocab, scores_file=out_path.with_suffix(".scores"))
     print(f"generate: base_sha={base_sha(model)} lineage={model.base_id[:16]} "
-          f"adapter={style}.{cfg.mode} beam={cfg.decode.beam_size} "
+          f"adapter={adapters.style_id}.{adapters.mode} beam={cfg.decode.beam_size} "
           f"inputs={len(results)} -> {out_path}")
     return 0
 
@@ -294,8 +301,8 @@ def _run_cells(cfg: RunConfig, ws: Workspace, adapters: list[tuple[str, str]],
     """Run stage 1 for `adapters`, stage 2 for `cells`, then generate and evaluate.
 
     A cell (task, trainable, mode, variant, fresh_s0) runs on cfg with its own
-    trainable and mode: it trains with s0.<mode>, or fresh identity adapters,
-    and decodes every style through its <mode> adapter.
+    trainable and mode, and each of its stages runs a style through
+    `stage_adapters`.
     Each stage is a job keyed by the file it writes; unlisted adapters are read
     from disk. Job texts print in plan order; outputs are evaluated here.
     """
@@ -308,13 +315,13 @@ def _run_cells(cfg: RunConfig, ws: Workspace, adapters: list[tuple[str, str]],
     jobs = [_Job(adapter(style, mode), cmd_train_adapter, (replace(cfg, mode=mode), ws, style),
                  urgent=style == STYLELESS) for style, mode in adapters]
     jobs += [_Job(ws.task_model_path(task, trainable, variant).name, cmd_train_task,
-                  (cell_cfg[trainable, mode], ws, task, fresh_s0, variant),
+                  (cell_cfg[trainable, mode], ws, task, variant, fresh_s0),
                   needs=() if fresh_s0 else (adapter(STYLELESS, mode),), urgent=True)
              for task, trainable, mode, variant, fresh_s0 in cells]
     jobs += [_Job(ws.output_path(task, style, variant).name, cmd_generate,
-                  (cell_cfg[trainable, mode], ws, task, style, variant),
+                  (cell_cfg[trainable, mode], ws, task, style, variant, fresh_s0),
                   needs=(ws.task_model_path(task, trainable, variant).name, adapter(style, mode)))
-             for task, trainable, mode, variant, _ in cells for style in styles]
+             for task, trainable, mode, variant, fresh_s0 in cells for style in styles]
     lms = {}
     with contextlib.closing(_run_jobs(jobs)) as outputs:
         for _ in range(len(adapters) + len(cells)):
@@ -345,9 +352,9 @@ def cmd_ablate(cfg: RunConfig, ws: Workspace, task: str) -> int:
     """Grid of {inverse-para, denoise} x {enc, enc+catt, enc+catt+dec} + no-s0.
 
     Each cell has its own variant and decodes every style, s0 included,
-    through its mode's adapters. The no-s0 cell's stage 2 trained with fresh
-    identity s0 adapters, which are never saved, so it decodes s0 through
-    s0.inverse-para. Adapters already on disk are reused.
+    through the adapters its stage 2 trained with: its mode's, except that
+    the no-s0 cell trains and decodes s0 through fresh identity adapters,
+    which are never saved. Adapters already on disk are reused.
     """
     if task not in cfg.tasks:
         raise CliError(f"ablate --task {task}: not one of the config's tasks "
@@ -558,8 +565,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train-task")
     p.add_argument("--task", required=True, choices=TASKS)
     p.add_argument("--trainable", default=None, choices=mdl.SELECTORS)
-    p.add_argument("--fresh-s0", action="store_true",
-                   help="use fresh identity adapters instead of trained s0")
     p = sub.add_parser("generate")
     p.add_argument("--task", required=True, choices=TASKS)
     p.add_argument("--style", required=True, choices=[STYLELESS, *STYLES])
@@ -604,7 +609,7 @@ def main(argv=None) -> int:
         if args.command == "train-adapter":
             return cmd_train_adapter(cfg, ws, args.style)
         if args.command == "train-task":
-            return cmd_train_task(cfg, ws, args.task, fresh_s0=args.fresh_s0)
+            return cmd_train_task(cfg, ws, args.task)
         if args.command == "generate":
             return cmd_generate(cfg, ws, args.task, args.style,
                                 input_file=args.input, output_file=args.output)

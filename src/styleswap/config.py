@@ -63,6 +63,11 @@ class RunConfig:
     decode: DecodeConfig = field(default_factory=DecodeConfig)
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if self.decode.max_out_len > self.model.max_len:
+            raise ValueError(f"max_out_len={self.decode.max_out_len} exceeds the model's "
+                             f"max_len={self.model.max_len}")
         tasks = self.tasks
         if not tasks or not set(tasks) <= set(TASKS) or len(set(tasks)) < len(tasks):
             raise ValueError(f"tasks must be one or more distinct names from "
@@ -169,10 +174,6 @@ def from_items(items: dict[str, str], preset: str | None = None) -> RunConfig:
     The preset is `preset` if given, else the items' own `preset` key, else toy.
     """
     return parse_overrides(apply_preset(preset or items.get("preset", "toy")), items)
-
-
-def load_config(path: Path) -> RunConfig:
-    return from_items(read_config_file(path))
 
 
 def save_config(cfg: RunConfig, path: Path) -> None:

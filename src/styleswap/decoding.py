@@ -18,11 +18,12 @@ normalization it stops as soon as no active hypothesis can beat the best
 finished one. With a length penalty a longer hypothesis can still
 overtake, so that early stop would not be exact and is not taken.
 
-`generate_batch` checks every input line, then decodes the lines in
-`n = min(usable CPUs, lines)` contiguous shards of near-equal size: the
-calling process decodes shard 0 while forked workers (`workers`) decode the
-others, and the results are joined in input order. Each sentence is one
-`beam_search` call wherever it runs, so the files equal a one-CPU run's.
+`generate_batch` decodes an input file through one given `AdapterSet`. It
+checks every input line, then decodes the lines in `n = min(usable CPUs,
+lines)` contiguous shards of near-equal size: the calling process decodes
+shard 0 while forked workers (`workers`) decode the others, and the results
+are joined in input order. Each sentence is one `beam_search` call wherever
+it runs, so the files equal a one-CPU run's.
 """
 
 from __future__ import annotations
@@ -35,7 +36,8 @@ import numpy as np
 from . import autograd as ag
 from . import workers
 from .data import Vocab, read_corpus, write_corpus
-from .model import DecodeCache, Model, decode_logits_batch, encode_batch, swap_adapters
+from .model import (AdapterSet, DecodeCache, Model, decode_logits_batch, encode_batch,
+                    swap_adapters)
 
 
 @dataclass(frozen=True)
@@ -175,20 +177,19 @@ def beam_search(model: Model, adapters, x: list[int], cfg: DecodeConfig,
     return DecodeResult(tokens, score, adapters.style_id)
 
 
-def generate_batch(model: Model, adapter_file: Path, input_file: Path,
+def generate_batch(model: Model, adapters: AdapterSet, input_file: Path,
                    output_file: Path, cfg: DecodeConfig, vocab: Vocab,
                    scores_file: Path | None = None) -> list[DecodeResult]:
-    """Decode every input line; one output line per input line, in input order.
+    """Decode every input line through `adapters`; one output line per input line, in order.
 
     Every line is checked before any is decoded. On any failure no file is
-    written, and no worker outlives the call.
+    written, and no worker outlives the call. `max_out_len` is checked here
+    too, since a checkpoint read from disk can carry another `max_len` than
+    the run's config.
     """
-    from .store import load_adapter
-
     if cfg.max_out_len > model.config.max_len:
         raise ValueError(f"max_out_len={cfg.max_out_len} exceeds the model's "
                          f"max_len={model.config.max_len}")
-    adapters = load_adapter(adapter_file, model)
     inputs = read_corpus(input_file, vocab)
     for lineno, src in enumerate(inputs, start=1):
         if not src:

@@ -220,9 +220,23 @@ class PairSplits:
 MODES = {"inverse-para": "para", "denoise": "noise"}
 
 
-def _usable(pair, max_len: int) -> bool:
-    x, y = pair
-    return 0 < len(x) <= max_len and 0 < len(y) + 1 <= max_len
+def _load_pairs(data_dir: Path, inputs: str, targets: str, vocab: Vocab,
+                max_len: int) -> PairSplits:
+    """The (input, target) pairs of the train and valid splits that fit max_len.
+
+    `inputs` and `targets` name corpus files with a `{split}` field. A split
+    with no pair left is an error naming its input file.
+    """
+    splits = []
+    for split in ("train", "valid"):
+        src = Path(data_dir) / inputs.format(split=split)
+        pairs = zip(read_corpus(src, vocab),
+                    read_corpus(Path(data_dir) / targets.format(split=split), vocab))
+        kept = [(x, y) for x, y in pairs if 0 < len(x) <= max_len and 0 < len(y) + 1 <= max_len]
+        if not kept:
+            raise ValueError(f"{src}: no {split} pair fits max_len={max_len}")
+        splits.append(kept)
+    return PairSplits(*splits)
 
 
 def load_style_pairs(data_dir: Path, style_id: str, mode: str, vocab: Vocab,
@@ -231,26 +245,15 @@ def load_style_pairs(data_dir: Path, style_id: str, mode: str, vocab: Vocab,
     tag = MODES.get(mode)
     if tag is None:
         raise ValueError(f"unknown pretraining mode: {mode!r}")
-    data_dir = Path(data_dir)
-    out = {}
-    for split in ("train", "valid"):
-        targets = read_corpus(data_dir / f"style_{style_id}.{split}.txt", vocab)
-        inputs = read_corpus(data_dir / f"style_{style_id}.{tag}.{split}.src", vocab)
-        pairs = [p for p in zip(inputs, targets) if _usable(p, max_len)]
-        out[split] = pairs
-    return PairSplits(out["train"], out["valid"])
+    return _load_pairs(data_dir, f"style_{style_id}.{tag}.{{split}}.src",
+                       f"style_{style_id}.{{split}}.txt", vocab, max_len)
 
 
 def load_task_pairs(data_dir: Path, task_kind: str, vocab: Vocab,
                     max_len: int) -> PairSplits:
-    data_dir = Path(data_dir)
-    out = {}
-    for split in ("train", "valid"):
-        srcs = read_corpus(data_dir / f"task_{task_kind}.{split}.src", vocab)
-        tgts = read_corpus(data_dir / f"task_{task_kind}.{split}.tgt", vocab)
-        pairs = [p for p in zip(srcs, tgts) if _usable(p, max_len)]
-        out[split] = pairs
-    return PairSplits(out["train"], out["valid"])
+    """(source, target) pairs for one task."""
+    return _load_pairs(data_dir, f"task_{task_kind}.{{split}}.src",
+                       f"task_{task_kind}.{{split}}.tgt", vocab, max_len)
 
 
 # ---------------------------------------------------------------------------

@@ -133,11 +133,21 @@ class TestUsage:
         ("n_style=19", "n_style must be >= 20 so that every split is non-empty, got 19"),
         ("lr=-1", "lr must be > 0, got -1.0"),
         ("lr=0", "lr must be > 0, got 0.0"),
-        ("patience=0", "patience must be >= 1, got 0")])
+        ("patience=0", "patience must be >= 1, got 0"),
+        ("max_out_len=65", "max_out_len=65 exceeds the model's max_len=64"),
+        ("seed=-1", "seed must be >= 0, got -1")])
     def test_bad_run_setting_exits_1_before_any_work(self, tmp_path, capsys, setting, message):
-        assert run(tmp_path / "w", "--set", setting, "pipeline") == 1
+        # without run()'s --seed flag, which would override a seed key
+        assert cli.main(["--workdir", str(tmp_path / "w"), *MICRO, "--set", setting,
+                         "pipeline"]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "w").exists()
+
+    def test_fresh_s0_flag_is_gone(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--workdir", str(tmp_path), "train-task", "--task", "headline",
+                      "--fresh-s0"])
+        assert exc.value.code == 2
 
     def test_vocab_size_is_not_a_setting(self, tmp_path, capsys):
         rc = cli.main(["--workdir", str(tmp_path), "--set", "vocab_size=100", "gen-data"])
@@ -271,6 +281,17 @@ class TestOrdering:
         rc = run(tmp_path, "train-task", "--task", "headline")
         assert rc == 1
         assert "s0" in capsys.readouterr().err
+
+    def test_stage_with_no_pair_under_max_len_exits_1_before_training(self, tmp_path, capsys):
+        assert run(tmp_path, "gen-data") == 0
+        capsys.readouterr()
+        assert run(tmp_path, "--set", "max_len=4", "--set", "max_out_len=4",
+                   "train-adapter", "--style", "s1") == 1
+        err = capsys.readouterr().err
+        assert err == (f"error: {tmp_path / 'data/style_s1.para.train.src'}: "
+                       "no train pair fits max_len=4\n")
+        assert not any((tmp_path / "adapters").iterdir())
+        assert not (tmp_path / "models/base_init.ckpt").exists()
 
 
 class TestGenerate:
@@ -644,7 +665,7 @@ class TestPipelineMicro:
 
     def test_ablate_records_its_config(self, ablated):
         ws, _ = ablated
-        assert rc.load_config(ws / "config.txt") == micro_config()
+        assert rc.from_items(rc.read_config_file(ws / "config.txt")) == micro_config()
 
     def test_ablate_table_columns_align(self, ablated):
         ws, _ = ablated
@@ -664,7 +685,18 @@ class TestPipelineMicro:
                for sel in ("enc", "enc_catt", "enc_catt_dec")},
             **{f"ablate-denoise-{sel}": "adapter=s0.denoise"
                for sel in ("enc", "enc_catt", "enc_catt_dec")},
-            "ablate-nos0": "adapter=s0.inverse-para"}
+            "ablate-nos0": "adapter=s0.fresh"}
+
+    def test_no_s0_cell_decodes_s0_through_identity_adapters(self, ablated, tmp_path):
+        ws, _ = ablated
+        model = store.load_checkpoint(ws / "models/base_headline.enc.ablate-nos0.ckpt")
+        # zero up-projections make every fresh set the identity, whatever its seed
+        adapters = mdl.fresh_adapters(model.config, "s0", seed=12345)
+        out, scores = tmp_path / "nos0.out", tmp_path / "nos0.scores"
+        dec.generate_batch(model, adapters, ws / "data/task_headline.test.src", out,
+                           micro_config().decode, sd.Vocab(), scores_file=scores)
+        assert out.read_bytes() == (ws / "outputs/headline.s0.ablate-nos0.out").read_bytes()
+        assert scores.read_bytes() == (ws / "outputs/headline.s0.ablate-nos0.scores").read_bytes()
 
     def test_ablate_cells_keep_their_own_files(self, ablated):
         ws, _ = ablated

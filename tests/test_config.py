@@ -51,7 +51,7 @@ class TestConfigFile:
     def test_preset_inheritance_with_overrides(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("# comment\npreset=paper\nlr=0.002\ntasks=headline\n")
-        cfg = rc.load_config(path)
+        cfg = rc.from_items(rc.read_config_file(path))
         assert cfg.model.adapter_bottleneck == 64  # from the paper preset
         assert cfg.train.lr == 0.002  # overridden
         assert cfg.tasks == ("headline",)
@@ -60,19 +60,19 @@ class TestConfigFile:
         path = tmp_path / "run.cfg"
         path.write_text("warp_speed=9\n")
         with pytest.raises(ValueError, match="warp_speed"):
-            rc.load_config(path)
+            rc.from_items(rc.read_config_file(path))
 
     def test_malformed_line_names_location(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("lr=0.1\nthis is not a pair\n")
         with pytest.raises(ValueError, match=":2"):
-            rc.load_config(path)
+            rc.from_items(rc.read_config_file(path))
 
     def test_save_load_roundtrip(self, tmp_path):
         cfg = rc.parse_overrides(rc.apply_preset("toy"),
                                  {"lr": "0.005", "n_task": "123", "tasks": "story"})
         rc.save_config(cfg, tmp_path / "out.cfg")
-        assert rc.load_config(tmp_path / "out.cfg") == cfg
+        assert rc.from_items(rc.read_config_file(tmp_path / "out.cfg")) == cfg
 
     def test_every_knob_has_a_default(self):
         for key, value in rc.flat_items(rc.RunConfig()).items():

@@ -13,7 +13,7 @@ from styleswap import autograd as ag
 from styleswap import data as sd
 from styleswap import decoding as dec
 from styleswap import model as mdl
-from styleswap import store, workers
+from styleswap import workers
 
 
 def fixed_table(rows):
@@ -359,22 +359,20 @@ class TestIncrementalDecoding:
 class TestGenerateBatch:
     def test_empty_input_gives_empty_output(self, tiny_setup, tmp_path):
         vocab, model, adapters = tiny_setup
-        store.save_adapter(adapters, model.base_id, tmp_path / "a.adapter")
         (tmp_path / "in.txt").write_text("")
-        dec.generate_batch(model, tmp_path / "a.adapter", tmp_path / "in.txt",
+        dec.generate_batch(model, adapters, tmp_path / "in.txt",
                            tmp_path / "out.txt", dec.DecodeConfig(max_out_len=6), vocab)
         assert (tmp_path / "out.txt").read_text() == ""
 
     def test_order_preserving_and_rerun_identical(self, tiny_setup, tmp_path):
         vocab, model, adapters = tiny_setup
-        store.save_adapter(adapters, model.base_id, tmp_path / "a.adapter")
         lines = ["k00 f01 k02", "k03 k04", "k05 f00 f01 k06"]
         (tmp_path / "in.txt").write_text("\n".join(lines) + "\n")
         cfg = dec.DecodeConfig(beam_size=2, max_out_len=6)
-        res1 = dec.generate_batch(model, tmp_path / "a.adapter", tmp_path / "in.txt",
+        res1 = dec.generate_batch(model, adapters, tmp_path / "in.txt",
                                   tmp_path / "out1.txt", cfg, vocab,
                                   scores_file=tmp_path / "s1.txt")
-        res2 = dec.generate_batch(model, tmp_path / "a.adapter", tmp_path / "in.txt",
+        res2 = dec.generate_batch(model, adapters, tmp_path / "in.txt",
                                   tmp_path / "out2.txt", cfg, vocab,
                                   scores_file=tmp_path / "s2.txt")
         assert len(res1) == 3
@@ -383,44 +381,40 @@ class TestGenerateBatch:
 
     def test_overlong_input_error(self, tiny_setup, tmp_path):
         vocab, model, adapters = tiny_setup
-        store.save_adapter(adapters, model.base_id, tmp_path / "a.adapter")
         too_long = " ".join(["k00"] * (model.config.max_len + 1))
         (tmp_path / "in.txt").write_text("k00 k01\n" + too_long + "\n")
         with pytest.raises(ValueError, match=r"in.txt:2: .*max_len"):
-            dec.generate_batch(model, tmp_path / "a.adapter", tmp_path / "in.txt",
+            dec.generate_batch(model, adapters, tmp_path / "in.txt",
                                tmp_path / "out.txt", dec.DecodeConfig(max_out_len=4), vocab)
 
     def test_output_longer_than_model_max_len_is_refused_before_decoding(self, tiny_setup,
                                                                             tmp_path):
         vocab, model, adapters = tiny_setup
-        store.save_adapter(adapters, model.base_id, tmp_path / "a.adapter")
         (tmp_path / "in.txt").write_text("k00 k01\n")
         limit = model.config.max_len
         with pytest.raises(ValueError, match=f"^max_out_len={limit + 1} .*max_len={limit}$"):
-            dec.generate_batch(model, tmp_path / "a.adapter", tmp_path / "in.txt",
+            dec.generate_batch(model, adapters, tmp_path / "in.txt",
                                tmp_path / "out.txt", dec.DecodeConfig(max_out_len=limit + 1),
                                vocab)
         assert not (tmp_path / "out.txt").exists()
-        dec.generate_batch(model, tmp_path / "a.adapter", tmp_path / "in.txt",
+        dec.generate_batch(model, adapters, tmp_path / "in.txt",
                            tmp_path / "out.txt", dec.DecodeConfig(max_out_len=limit), vocab)
 
     def test_unknown_token_error_names_line(self, tiny_setup, tmp_path):
         vocab, model, adapters = tiny_setup
-        store.save_adapter(adapters, model.base_id, tmp_path / "a.adapter")
         (tmp_path / "in.txt").write_text("k00\nnot-a-token\n")
         with pytest.raises(ValueError, match="in.txt:2"):
-            dec.generate_batch(model, tmp_path / "a.adapter", tmp_path / "in.txt",
+            dec.generate_batch(model, adapters, tmp_path / "in.txt",
                                tmp_path / "out.txt", dec.DecodeConfig(max_out_len=4), vocab)
 
     def test_every_line_is_checked_before_any_is_decoded(self, tiny_setup, tmp_path,
                                                          monkeypatch):
         vocab, model, adapters = tiny_setup
-        store.save_adapter(adapters, model.base_id, tmp_path / "a.adapter")
         (tmp_path / "in.txt").write_text("k00 k01\nk02\n\n")
         decoded = []
         monkeypatch.setattr(dec, "beam_search", lambda *a: decoded.append(a))
         with pytest.raises(ValueError, match=r"in.txt:3: empty input sequence$"):
-            dec.generate_batch(model, tmp_path / "a.adapter", tmp_path / "in.txt",
+            dec.generate_batch(model, adapters, tmp_path / "in.txt",
                                tmp_path / "out.txt", dec.DecodeConfig(max_out_len=4), vocab)
         assert decoded == []
         assert not (tmp_path / "out.txt").exists()
@@ -447,11 +441,10 @@ class TestShards:
 
     def decode(self, tiny_setup, tmp_path, lines, monkeypatch, probe):
         vocab, model, adapters = tiny_setup
-        store.save_adapter(adapters, model.base_id, tmp_path / "a.adapter")
         (tmp_path / "in.txt").write_text("".join(f"k{i:02d}\n" for i in range(lines)))
         monkeypatch.setattr(dec, "beam_search",
                             lambda model, adapters, x, cfg, vocab: dec.DecodeResult(x, probe()))
-        return dec.generate_batch(model, tmp_path / "a.adapter", tmp_path / "in.txt",
+        return dec.generate_batch(model, adapters, tmp_path / "in.txt",
                                   tmp_path / "out.txt", dec.DecodeConfig(max_out_len=4), vocab,
                                   scores_file=tmp_path / "out.scores")
 
