@@ -110,7 +110,7 @@ def _require_data(cfg: RunConfig, ws: Workspace):
                 "delete_rate": manifest["noise"]["delete_rate"],
                 "tasks": sorted(k[len("task_"):] for k in manifest["splits"]
                                 if k.startswith("task_"))}
-    except (KeyError, TypeError) as exc:
+    except (json.JSONDecodeError, KeyError, TypeError) as exc:
         raise CliError(f"{path}: malformed manifest ({exc!r})") from None
     want = {"seed": cfg.seed, "n_task": cfg.n_task, "n_style": cfg.n_style,
             "tasks": sorted(cfg.tasks)}

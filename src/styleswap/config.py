@@ -139,10 +139,13 @@ def apply_preset(name: str) -> RunConfig:
     return _with_keys(RunConfig(preset=name), PRESETS[name])
 
 
-def _coerce(current, raw):
+def _coerce(key, current, raw):
     if isinstance(current, tuple):
         return tuple(part for part in raw.split(",") if part)
-    return type(current)(raw)
+    try:
+        return type(current)(raw)
+    except ValueError:
+        raise ValueError(f"{key}: expected {type(current).__name__}, got {raw!r}") from None
 
 
 def parse_overrides(cfg: RunConfig, items: dict[str, str]) -> RunConfig:
@@ -150,7 +153,7 @@ def parse_overrides(cfg: RunConfig, items: dict[str, str]) -> RunConfig:
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     current = flat_items(cfg)
-    return _with_keys(cfg, {k: _coerce(current[k], v) for k, v in items.items()
+    return _with_keys(cfg, {k: _coerce(k, current[k], v) for k, v in items.items()
                             if k != "preset"})
 
 

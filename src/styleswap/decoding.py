@@ -13,10 +13,9 @@ feeds only the newest token. When some prefix has no parent there (the
 first call, or a caller that breaks the chain), the cache restarts from
 the full prefixes. The search core stays model-agnostic: it sees only
 lists of prefixes and log-prob rows. It ranks each step's
-candidates as a [hypotheses, vocab] array, and without length
-normalization it stops as soon as no active hypothesis can beat the best
-finished one. With a length penalty a longer hypothesis can still
-overtake, so that early stop would not be exact and is not taken.
+candidates as a [hypotheses, vocab] array and stops as soon as no active
+hypothesis can beat the best finished one, at every length penalty (the
+optimal-stopping bound of Huang, Zhao & Ma 2017, "When to Finish?").
 
 `generate_batch` decodes an input file through one given `AdapterSet`. It
 checks every input line, then decodes the lines in `n = min(usable CPUs,
@@ -53,6 +52,8 @@ class DecodeConfig:
             raise ValueError(f"max_out_len must be >= 1, got {self.max_out_len}")
         if not self.length_penalty >= 0:  # also rejects nan
             raise ValueError(f"length_penalty must be >= 0, got {self.length_penalty}")
+        if np.isinf(self.length_penalty):
+            raise ValueError(f"length_penalty must be finite, got {self.length_penalty}")
 
     @property
     def max_len(self) -> int:
@@ -63,7 +64,7 @@ class DecodeConfig:
 @dataclass
 class DecodeResult:
     tokens: list[int]  # BOS/EOS stripped
-    score: float  # sum of log-probs, length-normalized when penalty > 0
+    score: float  # sum of log-probs over steps**length_penalty
     style_id: str | None = None
 
 
@@ -119,16 +120,21 @@ def beam_core(step_fn, bos: int, eos: int, max_len: int, beam_size: int,
     a token. Each step keeps the `beam_size` best finite candidates ranked
     by (-score, tokens). All active hypotheses have the same length, so the
     token order is the parent's lexicographic rank, then the new token id.
-    Without length normalization (alpha <= 0) the search stops once no
-    active score exceeds the best finished one. That is exact: a
-    continuation only loses score and is longer than the finished
-    hypothesis, so it can neither win nor tie. With alpha > 0 a longer
-    hypothesis can still overtake, so every step runs.
+    A hypothesis scored over `steps` steps ranks by its norm,
+    `score / steps**alpha`. The search stops once the best active score,
+    normalized over all `max_len` steps, is at most the best finished norm.
+    That is exact at every alpha: a continuation's score only falls and is
+    <= 0, so its norm ends at most at that bound, and it loses an exact tie
+    because it is longer than every finished hypothesis.
     """
+
+    def norm(score, steps):
+        return score / max(steps, 1) ** alpha
+
     active: list[tuple[int, ...]] = [()]
     scores = np.zeros(1)
     pool: list[tuple[tuple[int, ...], float, int]] = []  # tokens, score, steps scored
-    best_done = -np.inf
+    best_done = -np.inf  # best finished norm
     for _ in range(max_len):
         logp = step_fn([[bos, *toks] for toks in active])
         flat = np.flatnonzero(np.isfinite(logp))
@@ -146,23 +152,16 @@ def beam_core(step_fn, bos: int, eos: int, max_len: int, beam_size: int,
             seq, score = active[parent[i]] + (int(tok[i]),), float(cand[i])
             if seq[-1] == eos:
                 pool.append((seq[:-1], score, len(seq)))
-                best_done = max(best_done, score)
+                best_done = max(best_done, norm(score, len(seq)))
             else:
                 kept.append(seq)
                 kept_scores.append(score)
         active, scores = kept, np.asarray(kept_scores)
-        if not active or (alpha <= 0 and scores.max() <= best_done):
+        if not active or norm(scores.max(), max_len) <= best_done:
             break
     pool.extend((toks, float(score), len(toks)) for toks, score in zip(active, scores))
-
-    def ranking(entry):
-        toks, score, steps = entry
-        norm = score / (max(steps, 1) ** alpha) if alpha > 0 else score
-        return (-norm, len(toks), toks)
-
-    toks, score, steps = min(pool, key=ranking)
-    final = score / (max(steps, 1) ** alpha) if alpha > 0 else score
-    return list(toks), final
+    toks, score, steps = min(pool, key=lambda e: (-norm(e[1], e[2]), len(e[0]), e[0]))
+    return list(toks), norm(score, steps)
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,8 @@ class Hyper:
                 raise ValueError(f"{key} must be >= 1, got {getattr(self, key)}")
         if not self.lr > 0:  # also rejects nan
             raise ValueError(f"lr must be > 0, got {self.lr}")
+        if np.isinf(self.lr):
+            raise ValueError(f"lr must be finite, got {self.lr}")
 
 
 # Adam's moment decay rates and denominator epsilon (Kingma & Ba's defaults)

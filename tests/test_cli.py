@@ -133,6 +133,10 @@ class TestUsage:
         ("n_style=19", "n_style must be >= 20 so that every split is non-empty, got 19"),
         ("lr=-1", "lr must be > 0, got -1.0"),
         ("lr=0", "lr must be > 0, got 0.0"),
+        ("lr=inf", "lr must be finite, got inf"),
+        ("length_penalty=inf", "length_penalty must be finite, got inf"),
+        ("beam_size=abc", "beam_size: expected int, got 'abc'"),
+        ("max_len=1.5", "max_len: expected int, got '1.5'"),
         ("patience=0", "patience must be >= 1, got 0"),
         ("max_out_len=65", "max_out_len=65 exceeds the model's max_len=64"),
         ("seed=-1", "seed must be >= 0, got -1")])
@@ -244,6 +248,18 @@ class TestOrdering:
         err = capsys.readouterr().err
         assert err == "error: loss is nan at step 1 (epoch 1) training 'enc'\n"
         assert not ws.task_model_path("headline", "enc").exists()
+
+    def test_manifest_that_is_not_json_is_one_line_error(self, tmp_path, capsys):
+        assert run(tmp_path, "gen-data") == 0
+        manifest = tmp_path / "data/manifest.json"
+        manifest.write_text("{not json")
+        before = tree_digest(tmp_path)
+        capsys.readouterr()
+        assert run(tmp_path, "train-adapter", "--style", "s1") == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {manifest}: malformed manifest (JSONDecodeError(")
+        assert len(err.splitlines()) == 1
+        assert tree_digest(tmp_path) == before
 
     def test_train_adapter_and_train_task_follow_the_config_mode(self, tmp_path):
         assert run(tmp_path, "gen-data") == 0

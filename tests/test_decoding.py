@@ -115,17 +115,19 @@ class TestCores:
         assert longer[0] == [2]
 
     @pytest.mark.parametrize("seed", range(40))
-    @pytest.mark.parametrize("alpha", [0.0, 0.7])
+    @pytest.mark.parametrize("alpha", [0.0, 0.7, 1.0, 2.0])
     def test_array_core_keeps_the_list_core_tie_break(self, seed, alpha):
         # log-probs from {log 1/4, log 1/2}: equal scores across parents and
         # at the top-k cut are the common case, not the exception
         rng = np.random.default_rng(seed)
         v, t, k = int(rng.integers(3, 6)), int(rng.integers(2, 6)), int(rng.integers(1, 5))
         fn = coarse_table_step_fn(seed, v)
-        got = dec.beam_core(fn, BOS, EOS, t, k, alpha)
-        want = list_beam_core(fn, BOS, EOS, t, k, alpha)
+        calls, want_calls = [], []
+        got = dec.beam_core(lambda p: calls.append(p) or fn(p), BOS, EOS, t, k, alpha)
+        want = list_beam_core(lambda p: want_calls.append(p) or fn(p), BOS, EOS, t, k, alpha)
         assert got[0] == want[0]
         assert got[1] == want[1]
+        assert len(calls) <= len(want_calls)
 
     def test_tie_at_the_cut_goes_to_the_lexicographically_smaller_parent(self):
         # after step 1 the beam holds (3,) ahead of (2,) by score; at step 2
@@ -148,9 +150,12 @@ class TestCores:
             assert got == list_beam_core(step, BOS, EOS, 3, 2, alpha)
             assert got[0] == [2, 2]
 
-    def test_early_stop_only_without_length_penalty(self):
-        # EOS takes 1/2 at every step, so the first finished hypothesis beats
-        # every active one; the beam never runs empty on its own
+    def test_early_stop_is_exact_for_every_length_penalty(self):
+        # EOS takes 1/2 at every step; the beam never runs empty on its own.
+        # Step 1 finishes the empty output with norm log 1/2 = -0.69 at every
+        # alpha. At alpha = 0 no active score can beat it. At alpha = 0.5 the
+        # active (2,) could still end at log 1/4 / 8**0.5 = -0.49; after step
+        # 2 the bound for (2, 2) is 2 log 1/4 / 8**0.5 = -0.98, so the search stops.
         rows = [[-np.inf, np.log(0.5), np.log(0.25), np.log(0.25)]] * 8
         calls = []
 
@@ -158,7 +163,7 @@ class TestCores:
             calls.append(len(prefixes))
             return fixed_table(rows)(prefixes)
 
-        for alpha, want_calls in ((0.0, 1), (0.5, 8)):
+        for alpha, want_calls in ((0.0, 1), (0.5, 2)):
             calls.clear()
             got = dec.beam_core(counting, BOS, EOS, 8, 2, alpha)
             assert got == list_beam_core(fixed_table(rows), BOS, EOS, 8, 2, alpha)
@@ -170,9 +175,11 @@ class TestCores:
 
     @pytest.mark.parametrize("key, bad, ok", [("max_out_len", 0, 1),
                                               ("length_penalty", -0.5, 0.0),
-                                              ("length_penalty", float("nan"), 1.0)])
+                                              ("length_penalty", float("nan"), 1.0),
+                                              ("length_penalty", float("inf"), 2.0)])
     def test_output_length_and_penalty_validation(self, key, bad, ok):
-        with pytest.raises(ValueError, match=f"^{key} must be >= "):
+        rule = "finite" if np.isinf(bad) else ">= "
+        with pytest.raises(ValueError, match=f"^{key} must be {rule}"):
             dec.DecodeConfig(**{key: bad})
         assert getattr(dec.DecodeConfig(**{key: ok}), key) == ok
 
