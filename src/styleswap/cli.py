@@ -9,14 +9,24 @@ Subcommands:
   evaluate       score one generation run into a key=value report
   pipeline       end to end: data, all adapters, all tasks, generate, evaluate
   gradcheck      finite-difference audit of the fused ops and a decoder-step loss
-  ablate         pretraining-mode x trainable-group grid plus the no-s0 variant
+  ablate         pretraining-mode x trainable-group grid plus the no-s0 cell
 
-`python -m styleswap --preset toy pipeline` runs the default experiment in
-one command. Every command is deterministic given (--seed, config): reruns
-produce byte-identical artifacts. Exit codes: 0 ok, 1 runtime failure
-(one-line diagnostic on stderr), 2 usage. The config is the only source of
-a run's settings: `--mode`, `--trainable` and `--beam` are shorthands for
-its keys `mode`, `trainable` and `beam_size`, and override `--set`.
+`python -m styleswap pipeline` runs the default experiment in one command,
+in the default workdir `runs/toy`. Every command is deterministic given
+(--seed, config): reruns produce byte-identical artifacts. Exit codes: 0 ok,
+1 runtime failure (one-line diagnostic on stderr), 2 usage. The config is
+the only source of a run's settings: `--mode`, `--trainable` and `--beam`
+are shorthands for its keys `mode`, `trainable` and `beam_size`, and
+override `--set`.
+
+Each stage-1, stage-2, generate and evaluate line ends with `-> <path>`,
+the file it wrote; `evaluate --outputs X` writes its report beside X.
+
+A workdir and its `config.txt` are a run's only identity. Each `ablate` cell
+is a workdir `<workdir>/ablate/<cell>/`, named by its table row (such as
+`denoise/enc+catt` or `no-s0/enc`). It reads `data/`, `adapters/` and
+`models/base_init.ckpt` from the run's workdir, and writes its own
+`models/`, `outputs/`, `reports/`, `logs/` and `config.txt`.
 
 `pipeline` and `ablate` run their stages through one job plan: each stage 1,
 stage 2 and generate is a job in a worker process, one per usable CPU; data
@@ -63,11 +73,16 @@ class CliError(RuntimeError):
 
 
 class Workspace:
-    def __init__(self, root: Path):
+    """A run's files. An `ablate` cell shares the data, adapters and initial
+    base of its run's workdir `run`; `seed_tag` joins its stage-2 seed label."""
+
+    def __init__(self, root: Path, run: Path | None = None, seed_tag: str = ""):
         self.root = Path(root)
-        self.data = self.root / "data"
+        self.run = self.root if run is None else Path(run)
+        self.seed_tag = seed_tag
+        self.data = self.run / "data"
+        self.adapters = self.run / "adapters"
         self.models = self.root / "models"
-        self.adapters = self.root / "adapters"
         self.outputs = self.root / "outputs"
         self.reports = self.root / "reports"
         self.logs = self.root / "logs"
@@ -81,20 +96,16 @@ class Workspace:
         return self.adapters / f"{style}.{mode}.adapter"
 
     def base_init_path(self) -> Path:
-        return self.models / "base_init.ckpt"
+        return self.run / "models" / "base_init.ckpt"
 
-    def task_model_path(self, task: str, trainable: str, variant: str = "") -> Path:
-        sel = trainable.replace("+", "_")
-        suffix = f".{variant}" if variant else ""
-        return self.models / f"base_{task}.{sel}{suffix}.ckpt"
+    def task_model_path(self, task: str, trainable: str) -> Path:
+        return self.models / f"base_{task}.{trainable.replace('+', '_')}.ckpt"
 
-    def output_path(self, task: str, style: str, variant: str = "") -> Path:
-        suffix = f".{variant}" if variant else ""
-        return self.outputs / f"{task}.{style}{suffix}.out"
+    def output_path(self, task: str, style: str) -> Path:
+        return self.outputs / f"{task}.{style}.out"
 
-    def report_path(self, task: str, style: str, variant: str = "") -> Path:
-        suffix = f".{variant}" if variant else ""
-        return self.reports / f"{task}.{style}{suffix}.report.txt"
+    def report_path(self, task: str, style: str) -> Path:
+        return self.reports / f"{task}.{style}.report.txt"
 
 
 def _require_data(cfg: RunConfig, ws: Workspace):
@@ -201,19 +212,19 @@ def cmd_train_adapter(cfg: RunConfig, ws: Workspace, style: str) -> int:
     return 0
 
 
-def cmd_train_task(cfg: RunConfig, ws: Workspace, task: str, variant: str = "",
-                   fresh_s0: bool = False) -> int:
+def cmd_train_task(cfg: RunConfig, ws: Workspace, task: str, fresh_s0: bool = False) -> int:
     _require_data(cfg, ws)
     vocab, trainable = Vocab(), cfg.trainable
     splits = training.load_task_pairs(ws.data, task, vocab, cfg.model.max_len)
     model = ensure_base(cfg, ws)
     adapters = stage_adapters(cfg, ws, model, STYLELESS, fresh_s0)
-    label = f"step2.{task}.{trainable}" + (f".{variant}" if variant else "")
-    hp = cfg.hyper(epochs=cfg.step2_epochs, seed=child_seed(cfg.seed, label),
+    label = f"step2.{task}.{trainable}"
+    hp = cfg.hyper(epochs=cfg.step2_epochs,
+                   seed=child_seed(cfg.seed, f"{label}.{ws.seed_tag}" if ws.seed_tag else label),
                    log_path=ws.logs / f"{label}.jsonl")
     started = time.time()
     result = training.train_task(model, vocab, adapters, splits, trainable, hp)
-    path = ws.task_model_path(task, trainable, variant)
+    path = ws.task_model_path(task, trainable)
     store.save_checkpoint(model, path)
     print(f"train-task: task={task} trainable={trainable} epochs={result.epochs_run} "
           f"final_loss={np.mean(result.losses[-50:]):.4f} "
@@ -221,19 +232,18 @@ def cmd_train_task(cfg: RunConfig, ws: Workspace, task: str, variant: str = "",
     return 0
 
 
-def cmd_generate(cfg: RunConfig, ws: Workspace, task: str, style: str, variant: str = "",
-                 fresh_s0: bool = False, input_file: Path | None = None,
-                 output_file: Path | None = None) -> int:
+def cmd_generate(cfg: RunConfig, ws: Workspace, task: str, style: str, fresh_s0: bool = False,
+                 input_file: Path | None = None, output_file: Path | None = None) -> int:
     if input_file is None:
         _require_data(cfg, ws)
     vocab = Vocab()
-    model_path = ws.task_model_path(task, cfg.trainable, variant)
+    model_path = ws.task_model_path(task, cfg.trainable)
     if not model_path.exists():
         raise CliError(f"{model_path} missing; run train-task first")
     model = store.load_checkpoint(model_path)
     adapters = stage_adapters(cfg, ws, model, style, fresh_s0)
     src_path = Path(input_file) if input_file else ws.data / f"task_{task}.test.src"
-    out_path = Path(output_file) if output_file else ws.output_path(task, style, variant)
+    out_path = Path(output_file) if output_file else ws.output_path(task, style)
     ws.ensure_dirs()
     results = dec.generate_batch(model, adapters, src_path, out_path, cfg.decode,
                                  vocab, scores_file=out_path.with_suffix(".scores"))
@@ -258,24 +268,23 @@ def metric_lms(ws: Workspace, task: str) -> MetricLMs:
     return plain, styled
 
 
-def task_embeddings(cfg: RunConfig, ws: Workspace, task: str,
-                    variant: str = "") -> np.ndarray | None:
+def task_embeddings(cfg: RunConfig, ws: Workspace, task: str) -> np.ndarray | None:
     """The task model's token embeddings, for the embedding metric; None if it is not trained."""
-    path = ws.task_model_path(task, cfg.trainable, variant)
+    path = ws.task_model_path(task, cfg.trainable)
     return store.load_checkpoint(path).params["emb.tok"].data if path.exists() else None
 
 
 def cmd_evaluate(cfg: RunConfig, ws: Workspace, task: str, style: str,
-                 variant: str = "", outputs_file: Path | None = None,
-                 lms: MetricLMs | None = None, embeddings: np.ndarray | None = None) -> int:
-    """Score one output file.
+                 outputs_file: Path | None = None, lms: MetricLMs | None = None,
+                 embeddings: np.ndarray | None = None) -> int:
+    """Score one output file: the workdir's, or `outputs_file` with its report beside it.
 
     `lms` are the task's `metric_lms` and `embeddings` its `task_embeddings`;
     each is made here if None.
     """
     _require_data(cfg, ws)
     vocab = Vocab()
-    out_path = Path(outputs_file) if outputs_file else ws.output_path(task, style, variant)
+    out_path = Path(outputs_file) if outputs_file else ws.output_path(task, style)
     if not out_path.exists():
         raise CliError(f"{out_path} missing; run generate first")
     outputs = read_corpus(out_path, vocab)
@@ -285,55 +294,55 @@ def cmd_evaluate(cfg: RunConfig, ws: Workspace, task: str, style: str,
                        f"{len(references)} references")
     plain_lm, style_lms = lms or metric_lms(ws, task)
     if embeddings is None:
-        embeddings = task_embeddings(cfg, ws, task, variant)
+        embeddings = task_embeddings(cfg, ws, task)
     report = mx.evaluate_run(outputs, references, plain_lm, style_lms, vocab,
                              embeddings=embeddings)
-    report_path = ws.report_path(task, style, variant)
+    report_path = (out_path.with_suffix(".report.txt") if outputs_file
+                   else ws.report_path(task, style))
     mx.write_report(report, report_path)
     markers = " ".join(f"marker.{s}={report.marker[s]:.3f}" for s in STYLES)
-    print(f"evaluate: {task}.{style}{('.' + variant) if variant else ''} "
-          f"r1={report.r1:.3f} rl={report.rl:.3f} ppl={report.ppl:.2f} {markers}")
+    print(f"evaluate: {task}.{style} r1={report.r1:.3f} rl={report.rl:.3f} "
+          f"ppl={report.ppl:.2f} {markers} -> {report_path}")
     return 0
 
 
 def _run_cells(cfg: RunConfig, ws: Workspace, adapters: list[tuple[str, str]],
-               cells: list[tuple[str, str, str, str, bool]]) -> None:
+               cells: list[tuple[RunConfig, Workspace, str, bool]]) -> None:
     """Run stage 1 for `adapters`, stage 2 for `cells`, then generate and evaluate.
 
-    A cell (task, trainable, mode, variant, fresh_s0) runs on cfg with its own
-    trainable and mode, and each of its stages runs a style through
-    `stage_adapters`.
-    Each stage is a job keyed by the file it writes; unlisted adapters are read
-    from disk. Job texts print in plan order; outputs are evaluated here.
+    An adapter (style, mode) trains in the run's workdir `ws`. A cell (config,
+    workdir, task, fresh_s0) runs every stage on its own config and workdir,
+    each style through `stage_adapters`. Each stage is a job keyed by the
+    path it writes; unlisted adapters are read from disk. Job texts print in
+    plan order; outputs are evaluated here.
     """
     ws.ensure_dirs()
     ensure_base(cfg, ws)  # before any job, so that no two workers build it
     styles = (STYLELESS,) + STYLES
-    adapter = lambda style, mode: ws.adapter_path(style, mode).name
-    cell_cfg = {(trainable, mode): replace(cfg, trainable=trainable, mode=mode)
-               for _, trainable, mode, _, _ in cells}
-    jobs = [_Job(adapter(style, mode), cmd_train_adapter, (replace(cfg, mode=mode), ws, style),
-                 urgent=style == STYLELESS) for style, mode in adapters]
-    jobs += [_Job(ws.task_model_path(task, trainable, variant).name, cmd_train_task,
-                  (cell_cfg[trainable, mode], ws, task, variant, fresh_s0),
-                  needs=() if fresh_s0 else (adapter(STYLELESS, mode),), urgent=True)
-             for task, trainable, mode, variant, fresh_s0 in cells]
-    jobs += [_Job(ws.output_path(task, style, variant).name, cmd_generate,
-                  (cell_cfg[trainable, mode], ws, task, style, variant, fresh_s0),
-                  needs=(ws.task_model_path(task, trainable, variant).name, adapter(style, mode)))
-             for task, trainable, mode, variant, fresh_s0 in cells for style in styles]
+    jobs = [_Job(str(ws.adapter_path(style, mode)), cmd_train_adapter,
+                 (replace(cfg, mode=mode), ws, style), urgent=style == STYLELESS)
+            for style, mode in adapters]
+    jobs += [_Job(str(cell_ws.task_model_path(task, cell_cfg.trainable)), cmd_train_task,
+                  (cell_cfg, cell_ws, task, fresh_s0), urgent=True,
+                  needs=() if fresh_s0 else (str(ws.adapter_path(STYLELESS, cell_cfg.mode)),))
+             for cell_cfg, cell_ws, task, fresh_s0 in cells]
+    jobs += [_Job(str(cell_ws.output_path(task, style)), cmd_generate,
+                  (cell_cfg, cell_ws, task, style, fresh_s0),
+                  needs=(str(cell_ws.task_model_path(task, cell_cfg.trainable)),
+                         str(ws.adapter_path(style, cell_cfg.mode))))
+             for cell_cfg, cell_ws, task, fresh_s0 in cells for style in styles]
     lms = {}
     with contextlib.closing(_run_jobs(jobs)) as outputs:
         for _ in range(len(adapters) + len(cells)):
             print(next(outputs), end="")
-        for task, trainable, mode, variant, _ in cells:
+        for cell_cfg, cell_ws, task, _ in cells:
             if task not in lms:
                 lms[task] = metric_lms(ws, task)
-            embeddings = task_embeddings(cell_cfg[trainable, mode], ws, task, variant)
+            embeddings = task_embeddings(cell_cfg, cell_ws, task)
             for style in styles:
                 print(next(outputs), end="")
-                cmd_evaluate(cell_cfg[trainable, mode], ws, task, style, variant,
-                             lms=lms[task], embeddings=embeddings)
+                cmd_evaluate(cell_cfg, cell_ws, task, style, lms=lms[task],
+                             embeddings=embeddings)
 
 
 def cmd_pipeline(cfg: RunConfig, ws: Workspace) -> int:
@@ -342,7 +351,7 @@ def cmd_pipeline(cfg: RunConfig, ws: Workspace) -> int:
     ensure_data(cfg, ws)
     save_config(cfg, ws.root / "config.txt")
     _run_cells(cfg, ws, [(style, cfg.mode) for style in (STYLELESS,) + STYLES],
-               [(task, cfg.trainable, cfg.mode, "", False) for task in cfg.tasks])
+               [(cfg, ws, task, False) for task in cfg.tasks])
     print(f"pipeline: done in {time.time() - started:.0f}s "
           f"({len(cfg.tasks)} tasks x {len(STYLES) + 1} adapter sets)")
     return 0
@@ -351,10 +360,11 @@ def cmd_pipeline(cfg: RunConfig, ws: Workspace) -> int:
 def cmd_ablate(cfg: RunConfig, ws: Workspace, task: str) -> int:
     """Grid of {inverse-para, denoise} x {enc, enc+catt, enc+catt+dec} + no-s0.
 
-    Each cell has its own variant and decodes every style, s0 included,
-    through the adapters its stage 2 trained with: its mode's, except that
-    the no-s0 cell trains and decodes s0 through fresh identity adapters,
-    which are never saved. Adapters already on disk are reused.
+    Each cell runs in its own workdir on the run's config with the cell's
+    mode and trainable group. It decodes every style, s0 included, through
+    the adapters its stage 2 trained with: its mode's, except that the
+    no-s0 cell trains and decodes s0 through fresh identity adapters, which
+    are never saved. Adapters already on disk are reused.
     """
     if task not in cfg.tasks:
         raise CliError(f"ablate --task {task}: not one of the config's tasks "
@@ -365,15 +375,23 @@ def cmd_ablate(cfg: RunConfig, ws: Workspace, task: str) -> int:
     styles = (STYLELESS,) + STYLES
     adapters = [(style, mode) for mode in training.MODES for style in styles
                 if not ws.adapter_path(style, mode).exists()]
-    cells = {f"{mode}/{sel}": (task, sel, mode, f"ablate-{mode}-{sel.replace('+', '_')}", False)
-             for mode in training.MODES for sel in mdl.SELECTORS}
-    cells["no-s0/enc"] = (task, "enc", "inverse-para", "ablate-nos0", True)
+    # name -> (mode, trainable, fresh_s0, stage-2 seed tag)
+    grid = {f"{mode}/{sel}": (mode, sel, False, f"ablate-{mode}-{sel.replace('+', '_')}")
+            for mode in training.MODES for sel in mdl.SELECTORS}
+    grid["no-s0/enc"] = ("inverse-para", "enc", True, "ablate-nos0")
+    cells = {}
+    for name, (mode, sel, fresh_s0, tag) in grid.items():
+        cell_cfg = replace(cfg, trainable=sel, mode=mode)
+        cell_ws = Workspace(ws.root / "ablate" / name, run=ws.root, seed_tag=tag)
+        cell_ws.ensure_dirs()
+        save_config(cell_cfg, cell_ws.root / "config.txt")
+        cells[name] = (cell_cfg, cell_ws, task, fresh_s0)
     _run_cells(cfg, ws, adapters, list(cells.values()))
     width = max(map(len, cells))
     lines = [f"{'cell':{width}s} {'r1':>6s} {'rl':>6s} "
              + " ".join(f"marker.{s:>2s}" for s in STYLES)]
-    for name, (*_, variant, _) in cells.items():
-        report = {s: mx.read_report(ws.report_path(task, s, variant)) for s in styles}
+    for name, (_, cell_ws, _, _) in cells.items():
+        report = {s: mx.read_report(cell_ws.report_path(task, s)) for s in styles}
         lines.append(f"{name:{width}s} {report[STYLELESS].r1:6.3f} {report[STYLELESS].rl:6.3f} "
                      + " ".join(f"{report[s].marker[s]:9.3f}" for s in STYLES))
     table_path = ws.reports / f"ablation_{task}.txt"
@@ -548,11 +566,10 @@ def cmd_gradcheck(cfg: RunConfig) -> int:
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="styleswap",
                                      description="style-adapter seq2seq workbench")
-    parser.add_argument("--workdir", type=Path, default=None,
-                        help="artifact directory (default runs/<preset>)")
+    parser.add_argument("--workdir", type=Path, default=Path("runs/toy"),
+                        help="artifact directory (default runs/toy)")
     parser.add_argument("--config", type=Path, default=None,
                         help="key=value config file")
-    parser.add_argument("--preset", default=None, choices=["toy", "paper"])
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                         help="override any config field")
@@ -585,7 +602,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_config(args) -> RunConfig:
-    """Config file keys, then --set, then the flags on top; --preset replaces any preset key."""
+    """Config file keys, then --set, then the flags on top."""
     items = read_config_file(args.config) if args.config is not None else {}
     for item in args.set:
         if "=" not in item:
@@ -595,7 +612,7 @@ def _resolve_config(args) -> RunConfig:
     for key in ("seed", "mode", "trainable", "beam_size"):  # the flags that set a key
         if getattr(args, key, None) is not None:
             items[key] = str(getattr(args, key))
-    return from_items(items, preset=args.preset)
+    return from_items(items)
 
 
 def main(argv=None) -> int:
@@ -603,7 +620,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = _resolve_config(args)
-        ws = Workspace(args.workdir or Path("runs") / cfg.preset)
+        ws = Workspace(args.workdir)
         if args.command == "gen-data":
             return cmd_gen_data(cfg, ws)
         if args.command == "train-adapter":

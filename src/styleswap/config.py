@@ -1,32 +1,31 @@
 """Run configuration: run-level settings around the three stage configs.
 
-`RunConfig` holds what belongs to a run (preset, seed, corpus sizes and
-tasks, per-stage epochs, pretraining mode, stage-2 trainable group) and
-nests one `ModelConfig`, one `Hyper` and one `DecodeConfig`. Their own
-field defaults are the only copy of the model, optimiser and decode
-defaults. Each config checks its values when built, so a bad setting fails
-when the config is read, before any stage runs.
+`RunConfig` holds what belongs to a run (seed, corpus sizes and tasks,
+per-stage epochs, pretraining mode, stage-2 trainable group) and nests one
+`ModelConfig`, one `Hyper` and one `DecodeConfig`. Their own field defaults
+are the only copy of the model, optimiser and decode defaults. Each config
+checks its values when built, so a bad setting fails when the config is
+read, before any stage runs.
 
-A setting is a key only if a preset, a benchmark workload, an `ablate` cell,
-a subcommand flag, a planned measurement (`length_penalty`) or the micro
-tests (`max_out_len`) sets a second value for it; the model keys stay as the
-group that checkpoints record. Values that nothing varies are constants
-where they are used. Their former keys (`beta1`, `beta2`, `adam_eps`,
-`weight_decay`, `lm_order`, `lm_k`, `mask_rate`, `delete_rate`, `styles`)
-are unknown keys, an error in a config file as in `--set`.
+The defaults are the toy run: a ~1M-parameter model and 10k-sentence
+corpora sized for a desk run. The paper's operating point is two keys away,
+`--set adapter_bottleneck=64 --set lr=5e-5` (its batch 8 and beam 4 are the
+defaults); it is far too slow for a from-scratch CPU run.
 
-The "toy" preset is the set of defaults: a ~1M-parameter model and
-10k-sentence corpora sized for a desk run. The "paper" preset restores the
-reference hyperparameters (bottleneck 64, lr 5e-5, batch 8, beam 4); it is
-far too slow for a from-scratch CPU run but keeps the original operating
-point expressible.
+A setting is a key only if a benchmark workload, an `ablate` cell, a
+subcommand flag, the paper's operating point (`lr`), a planned measurement
+(`length_penalty`) or the micro tests (`max_out_len`) sets a second value
+for it; the model keys stay as the group that checkpoints record. Values
+that nothing varies are constants where they are used. Their former keys
+(`beta1`, `beta2`, `adam_eps`, `weight_decay`, `lm_order`, `lm_k`,
+`mask_rate`, `delete_rate`, `styles`) are unknown keys, an error in a
+config file as in `--set`. So is the former `preset` key: delete the
+`preset=` line of an older config.txt.
 
 Keys are flat. Every run-level field and every nested field is one key,
 except the nested fields that a run sets itself (seeds, vocabulary size,
 each stage's epochs and log) and the fixed `ln_eps`. Config files are
-`key=value` lines. A `preset=<name>` line is applied first wherever it
-appears, then the remaining keys override it in file order, so files
-inherit from a preset by naming it.
+`key=value` lines, applied over the defaults in file order.
 """
 
 from __future__ import annotations
@@ -46,7 +45,6 @@ MIN_CORPUS = 20
 
 @dataclass(frozen=True)
 class RunConfig:
-    preset: str = "toy"
     seed: int = 0
     model: ModelConfig = field(default_factory=ModelConfig)
     # corpora
@@ -127,18 +125,6 @@ def _with_keys(cfg: RunConfig, values: dict) -> RunConfig:
     return replace(cfg, **top)
 
 
-PRESETS: dict[str, dict] = {
-    "toy": {},
-    "paper": {"adapter_bottleneck": 64, "lr": 5e-5, "batch_size": 8, "beam_size": 4},
-}
-
-
-def apply_preset(name: str) -> RunConfig:
-    if name not in PRESETS:
-        raise ValueError(f"unknown preset {name!r} (choose from {sorted(PRESETS)})")
-    return _with_keys(RunConfig(preset=name), PRESETS[name])
-
-
 def _coerce(key, current, raw):
     if isinstance(current, tuple):
         return tuple(part for part in raw.split(",") if part)
@@ -153,8 +139,7 @@ def parse_overrides(cfg: RunConfig, items: dict[str, str]) -> RunConfig:
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     current = flat_items(cfg)
-    return _with_keys(cfg, {k: _coerce(k, current[k], v) for k, v in items.items()
-                            if k != "preset"})
+    return _with_keys(cfg, {k: _coerce(k, current[k], v) for k, v in items.items()})
 
 
 def read_config_file(path: Path) -> dict[str, str]:
@@ -171,12 +156,9 @@ def read_config_file(path: Path) -> dict[str, str]:
     return items
 
 
-def from_items(items: dict[str, str], preset: str | None = None) -> RunConfig:
-    """A preset, then every other key on top.
-
-    The preset is `preset` if given, else the items' own `preset` key, else toy.
-    """
-    return parse_overrides(apply_preset(preset or items.get("preset", "toy")), items)
+def from_items(items: dict[str, str]) -> RunConfig:
+    """The defaults with every key of `items` on top."""
+    return parse_overrides(RunConfig(), items)
 
 
 def save_config(cfg: RunConfig, path: Path) -> None:

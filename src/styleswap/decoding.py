@@ -54,6 +54,12 @@ class DecodeConfig:
             raise ValueError(f"length_penalty must be >= 0, got {self.length_penalty}")
         if np.isinf(self.length_penalty):
             raise ValueError(f"length_penalty must be finite, got {self.length_penalty}")
+        try:  # beam_core divides by steps ** length_penalty, and steps <= max_out_len
+            float(self.max_out_len) ** self.length_penalty
+        except OverflowError:
+            raise ValueError("length_penalty must be small enough that max_out_len ** "
+                             f"length_penalty is finite, got {self.length_penalty} at "
+                             f"max_out_len={self.max_out_len}") from None
 
     @property
     def max_len(self) -> int:

@@ -12,6 +12,7 @@ import shutil
 import subprocess
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -135,6 +136,8 @@ class TestUsage:
         ("lr=0", "lr must be > 0, got 0.0"),
         ("lr=inf", "lr must be finite, got inf"),
         ("length_penalty=inf", "length_penalty must be finite, got inf"),
+        ("length_penalty=1000", "length_penalty must be small enough that max_out_len ** "
+                                "length_penalty is finite, got 1000.0 at max_out_len=12"),
         ("beam_size=abc", "beam_size: expected int, got 'abc'"),
         ("max_len=1.5", "max_len: expected int, got '1.5'"),
         ("patience=0", "patience must be >= 1, got 0"),
@@ -166,23 +169,20 @@ class TestUsage:
                       "--style", "s0", "--trainable", "everything"])
         assert exc.value.code == 2
 
-    def test_preset_flag_replaces_the_config_file_preset(self, tmp_path):
-        path = tmp_path / "run.cfg"
-        path.write_text("preset=paper\nseed=5\nbeam_size=2\n")
-        args = cli._build_parser().parse_args(["--config", str(path), "--preset", "toy",
-                                               "gradcheck"])
-        cfg = cli._resolve_config(args)
-        assert cfg.preset == "toy" and cfg.model.adapter_bottleneck == 16
-        assert (cfg.seed, cfg.decode.beam_size) == (5, 2)
+    def test_preset_flag_is_gone(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--workdir", str(tmp_path), "--preset", "paper", "gradcheck"])
+        assert exc.value.code == 2
+        assert not any(tmp_path.iterdir())
 
     def test_set_keys_apply_together_with_the_config_file(self, tmp_path):
         path = tmp_path / "run.cfg"
-        path.write_text("d_model=30\n")  # valid only with the n_heads below
+        path.write_text("d_model=30\nseed=5\n")  # valid only with the n_heads below
         args = cli._build_parser().parse_args(["--config", str(path), "--set", "n_heads=3",
-                                               "--set", "preset=paper", "gradcheck"])
+                                               "--set", "lr=5e-5", "gradcheck"])
         cfg = cli._resolve_config(args)
         assert (cfg.model.d_model, cfg.model.n_heads) == (30, 3)
-        assert cfg.preset == "paper" and cfg.model.adapter_bottleneck == 64
+        assert (cfg.seed, cfg.train.lr) == (5, 5e-5)
 
 
 class TestGenData:
@@ -364,6 +364,20 @@ class TestEvaluate:
         report = mx.read_report(flow / "reports/headline.s0.report.txt")
         assert 0.0 <= report.r1 <= 1.0
         assert set(report.marker) == set(sd.STYLES)
+
+    def test_outputs_flag_writes_the_report_beside_the_outputs(self, flow, tmp_path, capsys):
+        assert run(flow, "generate", "--task", "headline", "--style", "s1") == 0
+        assert run(flow, "evaluate", "--task", "headline", "--style", "s1") == 0
+        workdir_report = flow / "reports/headline.s1.report.txt"
+        written = workdir_report.read_bytes()
+        other = tmp_path / "other.out"  # the references themselves, which score r1 1.0
+        shutil.copy(flow / "data/task_headline.test.tgt", other)
+        capsys.readouterr()
+        assert run(flow, "evaluate", "--task", "headline", "--style", "s1",
+                   "--outputs", str(other)) == 0
+        assert workdir_report.read_bytes() == written
+        assert mx.read_report(tmp_path / "other.report.txt").r1 == 1.0
+        assert capsys.readouterr().out.endswith(f" -> {tmp_path / 'other.report.txt'}\n")
 
 
 class TestModuleEntryPoint:
@@ -683,6 +697,17 @@ class TestPipelineMicro:
         ws, _ = ablated
         assert rc.from_items(rc.read_config_file(ws / "config.txt")) == micro_config()
 
+    def test_ablate_cells_record_their_configs(self, ablated):
+        ws, _ = ablated
+        cells = {f"{mode}/{sel}": (mode, sel) for mode in training.MODES
+                 for sel in mdl.SELECTORS}
+        cells["no-s0/enc"] = ("inverse-para", "enc")
+        assert sorted(str(p.parent.relative_to(ws / "ablate"))
+                      for p in (ws / "ablate").rglob("config.txt")) == sorted(cells)
+        for name, (mode, sel) in cells.items():
+            cfg = rc.from_items(rc.read_config_file(ws / "ablate" / name / "config.txt"))
+            assert cfg == replace(micro_config(), mode=mode, trainable=sel), name
+
     def test_ablate_table_columns_align(self, ablated):
         ws, _ = ablated
         header, *rows = (ws / "reports/ablation_headline.txt").read_text().splitlines()
@@ -692,39 +717,45 @@ class TestPipelineMicro:
             assert len(row) == len(header)
 
     def test_ablate_cells_decode_s0_through_their_own_mode(self, ablated):
-        _, out = ablated
-        s0_adapter = {line.split(".s0.")[-1][:-len(".out")]: line.split()[3]
-                      for line in out.splitlines()
-                      if line.startswith("generate: ") and ".s0." in line.split()[-1]}
+        ws, out = ablated
+        s0_adapter = {str(Path(line.split()[-1]).parents[1].relative_to(ws / "ablate")):
+                      line.split()[3] for line in out.splitlines()
+                      if line.startswith("generate: ") and line.endswith("/headline.s0.out")}
         assert s0_adapter == {
-            **{f"ablate-inverse-para-{sel}": "adapter=s0.inverse-para"
-               for sel in ("enc", "enc_catt", "enc_catt_dec")},
-            **{f"ablate-denoise-{sel}": "adapter=s0.denoise"
-               for sel in ("enc", "enc_catt", "enc_catt_dec")},
-            "ablate-nos0": "adapter=s0.fresh"}
+            **{f"inverse-para/{sel}": "adapter=s0.inverse-para" for sel in mdl.SELECTORS},
+            **{f"denoise/{sel}": "adapter=s0.denoise" for sel in mdl.SELECTORS},
+            "no-s0/enc": "adapter=s0.fresh"}
 
     def test_no_s0_cell_decodes_s0_through_identity_adapters(self, ablated, tmp_path):
         ws, _ = ablated
-        model = store.load_checkpoint(ws / "models/base_headline.enc.ablate-nos0.ckpt")
+        cell = ws / "ablate/no-s0/enc"
+        model = store.load_checkpoint(cell / "models/base_headline.enc.ckpt")
         # zero up-projections make every fresh set the identity, whatever its seed
         adapters = mdl.fresh_adapters(model.config, "s0", seed=12345)
         out, scores = tmp_path / "nos0.out", tmp_path / "nos0.scores"
         dec.generate_batch(model, adapters, ws / "data/task_headline.test.src", out,
                            micro_config().decode, sd.Vocab(), scores_file=scores)
-        assert out.read_bytes() == (ws / "outputs/headline.s0.ablate-nos0.out").read_bytes()
-        assert scores.read_bytes() == (ws / "outputs/headline.s0.ablate-nos0.scores").read_bytes()
+        assert out.read_bytes() == (cell / "outputs/headline.s0.out").read_bytes()
+        assert scores.read_bytes() == (cell / "outputs/headline.s0.scores").read_bytes()
 
     def test_ablate_cells_keep_their_own_files(self, ablated):
         ws, _ = ablated
-        variants = [f"ablate-{mode}-{sel}" for mode in ("inverse-para", "denoise")
-                    for sel in ("enc", "enc_catt", "enc_catt_dec")] + ["ablate-nos0"]
-        for variant in variants:
-            for style in ("s0", "s1", "s2", "s3"):
-                assert (ws / f"outputs/headline.{style}.{variant}.out").exists()
-                assert (ws / f"outputs/headline.{style}.{variant}.scores").exists()
-                assert (ws / f"reports/headline.{style}.{variant}.report.txt").exists()
-        assert len(list((ws / "models").glob("base_headline.*.ckpt"))) == len(variants)
-        assert not list(ws.rglob("*.grid.*"))
+        cells = [f"{mode}/{sel}" for mode in training.MODES for sel in mdl.SELECTORS]
+        for name in cells + ["no-s0/enc"]:
+            cell, sel = ws / "ablate" / name, name.split("/")[1]
+            files = {str(p.relative_to(cell)) for p in cell.rglob("*") if p.is_file()}
+            assert files == {"config.txt", f"models/base_headline.{sel.replace('+', '_')}.ckpt",
+                             f"logs/step2.headline.{sel}.jsonl",
+                             *(f"outputs/headline.{style}.{ext}" for ext in ("out", "scores")
+                               for style in ("s0", "s1", "s2", "s3")),
+                             *(f"reports/headline.{style}.report.txt"
+                               for style in ("s0", "s1", "s2", "s3"))}, name
+        # the run's workdir keeps only what the cells share, and the table
+        assert sorted(p.name for p in (ws / "models").iterdir()) == ["base_init.ckpt"]
+        assert sorted(p.name for p in (ws / "reports").iterdir()) == ["ablation_headline.txt"]
+        assert not list((ws / "outputs").iterdir())
+        assert all(p.name.startswith("step1.") for p in (ws / "logs").iterdir())
+        assert not list(ws.rglob("*ablate-*")) and not list(ws.rglob("*.grid.*"))
 
     def test_ablate_task_outside_the_config_fails_before_training(self, tmp_path, capsys):
         ws = tmp_path / "abl"

@@ -1,4 +1,4 @@
-"""RunConfig presets, key=value files, and derived config objects."""
+"""RunConfig defaults, key=value files, and derived config objects."""
 
 import pytest
 
@@ -9,9 +9,10 @@ from styleswap.model import ModelConfig
 
 # Every key and its default: the flat key namespace from before the config was
 # split into nested model, optimiser and decode configs, less the keys removed
-# since (`dropout` and `vocab_size` then, and the nine in REMOVED_KEYS later).
+# since (`dropout` and `vocab_size` then, the nine in REMOVED_KEYS later, and
+# last `preset`).
 KEYS_BEFORE_SPLIT = {
-    "preset": "toy", "d_model": 64, "n_heads": 4, "d_ffn": 128, "n_enc_layers": 2,
+    "d_model": 64, "n_heads": 4, "d_ffn": 128, "n_enc_layers": 2,
     "n_dec_layers": 2, "adapter_bottleneck": 16, "max_len": 64, "seed": 0,
     "n_task": 10000, "n_style": 10000, "tasks": ("headline", "story"), "lr": 0.001,
     "batch_size": 8, "step1_epochs": 5, "step2_epochs": 5, "patience": 2,
@@ -25,36 +26,43 @@ REMOVED_KEYS = {"mask_rate": "0.15", "delete_rate": "0.1", "styles": "s1,s2,s3",
 
 
 class TestPresets:
+    """The former presets: toy is the defaults, the paper's point is two keys, `preset` is gone."""
+
     def test_toy_defaults(self):
-        cfg = rc.apply_preset("toy")
+        cfg = rc.RunConfig()
         assert cfg.model.adapter_bottleneck == 16
         assert cfg.train.lr == 1e-3
         assert cfg.n_task == 10_000
 
-    def test_paper_preset_pins_reference_values(self):
-        cfg = rc.apply_preset("paper")
-        assert cfg.model.adapter_bottleneck == 64
-        assert cfg.train.lr == 5e-5
-        assert cfg.train.batch_size == 8
-        assert cfg.decode.beam_size == 4
+    def test_paper_point_is_two_set_keys(self):
+        args = cli._build_parser().parse_args(["--set", "adapter_bottleneck=64",
+                                               "--set", "lr=5e-5", "pipeline"])
+        cfg = cli._resolve_config(args)
+        assert (cfg.train.batch_size, cfg.decode.beam_size) == (8, 4)  # the paper's, by default
+        changed = {k: v for k, v in rc.flat_items(cfg).items() if v != KEYS_BEFORE_SPLIT[k]}
+        assert changed == {"adapter_bottleneck": 64, "lr": 5e-5}
 
-    def test_unknown_preset(self):
-        with pytest.raises(ValueError, match="preset"):
-            rc.apply_preset("huge")
-
-    def test_presets_name_only_keys(self):
-        for name, values in rc.PRESETS.items():
-            assert set(values) <= set(rc.flat_items(rc.RunConfig())), name
+    def test_unknown_preset(self, tmp_path, capsys):
+        with pytest.raises(ValueError, match=r"^unknown config keys: \['preset'\]$"):
+            rc.from_items({"preset": "toy"})
+        # through the CLI, from --set and from an older config.txt: one line, exit 1, no files
+        path, workdir = tmp_path / "run.cfg", tmp_path / "w"
+        path.write_text("preset=toy\nseed=1\n")
+        for flags in (["--set", "preset=paper"], ["--config", str(path)]):
+            assert cli.main(["--workdir", str(workdir), *flags, "pipeline"]) == 1
+            assert capsys.readouterr().err == "error: unknown config keys: ['preset']\n"
+            assert not workdir.exists()
 
 
 class TestConfigFile:
-    def test_preset_inheritance_with_overrides(self, tmp_path):
+    def test_file_keys_override_the_defaults(self, tmp_path):
         path = tmp_path / "run.cfg"
-        path.write_text("# comment\npreset=paper\nlr=0.002\ntasks=headline\n")
+        path.write_text("# comment\nadapter_bottleneck=64\nlr=0.002\ntasks=headline\n")
         cfg = rc.from_items(rc.read_config_file(path))
-        assert cfg.model.adapter_bottleneck == 64  # from the paper preset
-        assert cfg.train.lr == 0.002  # overridden
+        assert cfg.model.adapter_bottleneck == 64
+        assert cfg.train.lr == 0.002
         assert cfg.tasks == ("headline",)
+        assert cfg.n_task == 10_000  # a default
 
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "run.cfg"
@@ -69,7 +77,7 @@ class TestConfigFile:
             rc.from_items(rc.read_config_file(path))
 
     def test_save_load_roundtrip(self, tmp_path):
-        cfg = rc.parse_overrides(rc.apply_preset("toy"),
+        cfg = rc.parse_overrides(rc.RunConfig(),
                                  {"lr": "0.005", "n_task": "123", "tasks": "story"})
         rc.save_config(cfg, tmp_path / "out.cfg")
         assert rc.from_items(rc.read_config_file(tmp_path / "out.cfg")) == cfg
@@ -79,7 +87,8 @@ class TestConfigFile:
             assert value is not None, key
 
     def test_keys_and_defaults_kept_through_the_split(self):
-        assert rc.flat_items(rc.apply_preset("toy")) == KEYS_BEFORE_SPLIT
+        assert rc.flat_items(rc.RunConfig()) == KEYS_BEFORE_SPLIT
+        assert len(KEYS_BEFORE_SPLIT) == 21
 
     def test_removed_keys_rejected(self, tmp_path, capsys):
         for key in ("dropout", "vocab_size", *REMOVED_KEYS):
@@ -109,19 +118,19 @@ class TestConfigFile:
 
 class TestDerivedConfigs:
     def test_model_config_fields(self):
-        cfg = rc.apply_preset("toy")
+        cfg = rc.RunConfig()
         mc = cfg.model_config()
         assert (mc.d_model, mc.adapter_bottleneck) == (cfg.model.d_model, 16)
 
     def test_model_config_matches_model_defaults(self):
         for seed in (0, 3, 17):
-            cfg = rc.parse_overrides(rc.apply_preset("toy"), {"seed": str(seed)})
+            cfg = rc.parse_overrides(rc.RunConfig(), {"seed": str(seed)})
             assert cfg.model_config() == ModelConfig(seed=seed)
 
     def test_model_config_vocab_size_is_the_vocabulary(self):
         assert rc.RunConfig().model_config().vocab_size == len(Vocab())
 
     def test_hyper_stage_overrides(self):
-        cfg = rc.apply_preset("toy")
+        cfg = rc.RunConfig()
         hp = cfg.hyper(epochs=9, seed=42)
         assert hp.epochs == 9 and hp.seed == 42 and hp.lr == cfg.train.lr

@@ -176,9 +176,14 @@ class TestCores:
     @pytest.mark.parametrize("key, bad, ok", [("max_out_len", 0, 1),
                                               ("length_penalty", -0.5, 0.0),
                                               ("length_penalty", float("nan"), 1.0),
-                                              ("length_penalty", float("inf"), 2.0)])
+                                              ("length_penalty", float("inf"), 2.0),
+                                              ("length_penalty", 1000.0, 100.0)])
     def test_output_length_and_penalty_validation(self, key, bad, ok):
-        rule = "finite" if np.isinf(bad) else ">= "
+        # 32.0 ** 1000, for the default max_out_len, overflows a float
+        rule = ("finite" if np.isinf(bad) else
+                r"small enough that max_out_len \*\* length_penalty is finite, got 1000.0 at "
+                r"max_out_len=32$"
+                if bad > 1 else ">= ")
         with pytest.raises(ValueError, match=f"^{key} must be {rule}"):
             dec.DecodeConfig(**{key: bad})
         assert getattr(dec.DecodeConfig(**{key: ok}), key) == ok
