@@ -22,15 +22,18 @@ override `--set`.
 Each stage-1, stage-2, generate and evaluate line ends with `-> <path>`,
 the file it wrote; `evaluate --outputs X` writes its report beside X.
 
-A workdir and its `config.txt` are a run's only identity. Each `ablate` cell
-is a workdir `<workdir>/ablate/<cell>/`, named by its table row (such as
-`denoise/enc+catt` or `no-s0/enc`). It reads `data/`, `adapters/` and
-`models/base_init.ckpt` from the run's workdir, and writes its own
-`models/`, `outputs/`, `reports/`, `logs/` and `config.txt`.
+A workdir and its `config.txt` are a run's only identity: `pipeline` and
+`ablate` refuse a workdir whose `config.txt` holds other settings. The
+`ablate` cell of the run's own mode and trainable group is the run itself.
+Each other cell is a workdir `<workdir>/ablate/<cell>/`, named by its table
+row (such as `denoise/enc+catt` or `no-s0/enc`). It reads `data/`,
+`adapters/` and `models/base_init.ckpt` from the run's workdir, and writes
+its own `models/`, `outputs/`, `reports/`, `logs/` and `config.txt`.
 
-`pipeline` and `ablate` run their stages through one job plan: each stage 1,
-stage 2 and generate is a job in a worker process, one per usable CPU; data
-generation, metric LM fits and evaluation stay in the calling process.
+`pipeline` and `ablate` run one job plan, which trains every adapter and
+model it reads, each stage under one seed label: each stage 1, stage 2 and
+generate is a job in a worker process, one per usable CPU; data generation,
+metric LM fits and evaluation stay in the calling process.
 Artifacts and printed lines do not depend on the worker count; wall-time
 figures aside, they equal a one-worker run's. Each worker runs OpenBLAS on
 one thread. Memory is paid per worker: each holds its own model and training
@@ -52,7 +55,7 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -62,7 +65,7 @@ from . import decoding as dec
 from . import metrics as mx
 from . import model as mdl
 from . import store, training
-from .config import RunConfig, from_items, read_config_file, save_config
+from .config import RunConfig, flat_items, from_items, read_config_file, save_config
 from .data import (DELETE_RATE, MASK_RATE, STYLELESS, STYLES, TASKS, Vocab, child_seed,
                    generate_data_dir, read_corpus)
 from .workers import WorkerError, _Job, _run_jobs
@@ -73,13 +76,12 @@ class CliError(RuntimeError):
 
 
 class Workspace:
-    """A run's files. An `ablate` cell shares the data, adapters and initial
-    base of its run's workdir `run`; `seed_tag` joins its stage-2 seed label."""
+    """A run's files. An `ablate` cell's workdir shares the data, adapters and
+    initial base of its run's workdir `run`."""
 
-    def __init__(self, root: Path, run: Path | None = None, seed_tag: str = ""):
+    def __init__(self, root: Path, run: Path | None = None):
         self.root = Path(root)
         self.run = self.root if run is None else Path(run)
-        self.seed_tag = seed_tag
         self.data = self.run / "data"
         self.adapters = self.run / "adapters"
         self.models = self.root / "models"
@@ -108,6 +110,12 @@ class Workspace:
         return self.reports / f"{task}.{style}.report.txt"
 
 
+def _differences(have: dict, want: dict, source: str, target: str = "config") -> list[str]:
+    """One "key X (source) vs Y (target)" entry per key of `want` whose values differ."""
+    return [f"{key} {have[key]!r} ({source}) vs {want[key]!r} ({target})"
+            for key in want if have[key] != want[key]]
+
+
 def _require_data(cfg: RunConfig, ws: Workspace):
     """Check that the workdir's corpora exist and were made with cfg's settings."""
     path = ws.data / "manifest.json"
@@ -126,22 +134,47 @@ def _require_data(cfg: RunConfig, ws: Workspace):
     want = {"seed": cfg.seed, "n_task": cfg.n_task, "n_style": cfg.n_style,
             "tasks": sorted(cfg.tasks)}
     fixed = {"mask_rate": MASK_RATE, "delete_rate": DELETE_RATE}  # no setting changes these
-    differ = [f"{key} {have[key]!r} (data) vs {want[key]!r} (config)"
-              for key in want if have[key] != want[key]]
-    rates = [f"{key} {have[key]!r} (data) vs {fixed[key]!r} (this version)"
-             for key in fixed if have[key] != fixed[key]]
+    differ = _differences(have, want, "data")
+    rates = _differences(have, fixed, "data", "this version")
     if differ or rates:
         raise CliError(f"{path} was generated with different settings: "
                        f"{', '.join(differ + rates)}; use a fresh workdir"
                        + ("" if rates else " or matching flags"))
 
 
-def ensure_data(cfg: RunConfig, ws: Workspace) -> None:
-    """Generate the corpora, or check that the workdir's were made with cfg's settings."""
-    if (ws.data / "manifest.json").exists():
+def start_run(cfg: RunConfig, ws: Workspace) -> None:
+    """Check the workdir's corpora and config.txt against cfg, then record cfg.
+
+    Corpora are generated if there are none. A workdir whose corpora or
+    config.txt were made with other settings is refused before anything is
+    written, the corpora checked first.
+    """
+    have_data = (ws.data / "manifest.json").exists()
+    if have_data:
         _require_data(cfg, ws)
-    else:
+    path = ws.root / "config.txt"
+    if path.exists():
+        try:
+            have = flat_items(from_items(read_config_file(path)))
+        except ValueError as exc:
+            raise CliError(f"{path} does not parse ({exc}); use a fresh workdir") from None
+        differ = _differences(have, flat_items(cfg), "workdir")
+        if differ:
+            raise CliError(f"{path} was written with different settings: {', '.join(differ)}; "
+                           "use a fresh workdir or matching flags")
+    if not have_data:
         cmd_gen_data(cfg, ws)
+    save_config(cfg, path)
+
+
+def load_model(cfg: RunConfig, path: Path) -> mdl.Model:
+    """The checkpoint at `path`, refused unless it was built with cfg's model config."""
+    model = store.load_checkpoint(path)
+    differ = _differences(asdict(model.config), asdict(cfg.model_config()), "checkpoint")
+    if differ:
+        raise CliError(f"{path} was built with a different model config: {', '.join(differ)}; "
+                       "use a fresh workdir or matching flags")
+    return model
 
 
 def ensure_base(cfg: RunConfig, ws: Workspace) -> mdl.Model:
@@ -152,11 +185,7 @@ def ensure_base(cfg: RunConfig, ws: Workspace) -> mdl.Model:
     """
     path = ws.base_init_path()
     if path.exists():
-        model = store.load_checkpoint(path)
-        if model.config != cfg.model_config():
-            raise CliError(f"{path} was built with a different model config; "
-                           "use a fresh workdir or matching flags")
-        return model
+        return load_model(cfg, path)
     model = mdl.build_model(cfg.model_config())
     ws.ensure_dirs()
     store.save_checkpoint(model, path)
@@ -219,8 +248,7 @@ def cmd_train_task(cfg: RunConfig, ws: Workspace, task: str, fresh_s0: bool = Fa
     model = ensure_base(cfg, ws)
     adapters = stage_adapters(cfg, ws, model, STYLELESS, fresh_s0)
     label = f"step2.{task}.{trainable}"
-    hp = cfg.hyper(epochs=cfg.step2_epochs,
-                   seed=child_seed(cfg.seed, f"{label}.{ws.seed_tag}" if ws.seed_tag else label),
+    hp = cfg.hyper(epochs=cfg.step2_epochs, seed=child_seed(cfg.seed, label),
                    log_path=ws.logs / f"{label}.jsonl")
     started = time.time()
     result = training.train_task(model, vocab, adapters, splits, trainable, hp)
@@ -240,7 +268,7 @@ def cmd_generate(cfg: RunConfig, ws: Workspace, task: str, style: str, fresh_s0:
     model_path = ws.task_model_path(task, cfg.trainable)
     if not model_path.exists():
         raise CliError(f"{model_path} missing; run train-task first")
-    model = store.load_checkpoint(model_path)
+    model = load_model(cfg, model_path)
     adapters = stage_adapters(cfg, ws, model, style, fresh_s0)
     src_path = Path(input_file) if input_file else ws.data / f"task_{task}.test.src"
     out_path = Path(output_file) if output_file else ws.output_path(task, style)
@@ -271,7 +299,7 @@ def metric_lms(ws: Workspace, task: str) -> MetricLMs:
 def task_embeddings(cfg: RunConfig, ws: Workspace, task: str) -> np.ndarray | None:
     """The task model's token embeddings, for the embedding metric; None if it is not trained."""
     path = ws.task_model_path(task, cfg.trainable)
-    return store.load_checkpoint(path).params["emb.tok"].data if path.exists() else None
+    return load_model(cfg, path).params["emb.tok"].data if path.exists() else None
 
 
 def cmd_evaluate(cfg: RunConfig, ws: Workspace, task: str, style: str,
@@ -306,22 +334,23 @@ def cmd_evaluate(cfg: RunConfig, ws: Workspace, task: str, style: str,
     return 0
 
 
-def _run_cells(cfg: RunConfig, ws: Workspace, adapters: list[tuple[str, str]],
+def _run_cells(cfg: RunConfig, ws: Workspace,
                cells: list[tuple[RunConfig, Workspace, str, bool]]) -> None:
-    """Run stage 1 for `adapters`, stage 2 for `cells`, then generate and evaluate.
+    """Run stage 1, stage 2, generate and evaluate for `cells`.
 
-    An adapter (style, mode) trains in the run's workdir `ws`. A cell (config,
-    workdir, task, fresh_s0) runs every stage on its own config and workdir,
-    each style through `stage_adapters`. Each stage is a job keyed by the
-    path it writes; unlisted adapters are read from disk. Job texts print in
-    plan order; outputs are evaluated here.
+    All four adapters of each mode the cells use train in the run's workdir
+    `ws`, s0 first. A cell (config, workdir, task, fresh_s0) runs the later
+    stages on its own config and workdir, each style through
+    `stage_adapters`. Each stage is a job keyed by the path it writes. Job
+    texts print in plan order; outputs are evaluated here.
     """
     ws.ensure_dirs()
     ensure_base(cfg, ws)  # before any job, so that no two workers build it
     styles = (STYLELESS,) + STYLES
+    modes = dict.fromkeys(cell_cfg.mode for cell_cfg, *_ in cells)
     jobs = [_Job(str(ws.adapter_path(style, mode)), cmd_train_adapter,
                  (replace(cfg, mode=mode), ws, style), urgent=style == STYLELESS)
-            for style, mode in adapters]
+            for mode in modes for style in styles]
     jobs += [_Job(str(cell_ws.task_model_path(task, cell_cfg.trainable)), cmd_train_task,
                   (cell_cfg, cell_ws, task, fresh_s0), urgent=True,
                   needs=() if fresh_s0 else (str(ws.adapter_path(STYLELESS, cell_cfg.mode)),))
@@ -333,7 +362,7 @@ def _run_cells(cfg: RunConfig, ws: Workspace, adapters: list[tuple[str, str]],
              for cell_cfg, cell_ws, task, fresh_s0 in cells for style in styles]
     lms = {}
     with contextlib.closing(_run_jobs(jobs)) as outputs:
-        for _ in range(len(adapters) + len(cells)):
+        for _ in range(len(modes) * len(styles) + len(cells)):
             print(next(outputs), end="")
         for cell_cfg, cell_ws, task, _ in cells:
             if task not in lms:
@@ -348,10 +377,8 @@ def _run_cells(cfg: RunConfig, ws: Workspace, adapters: list[tuple[str, str]],
 def cmd_pipeline(cfg: RunConfig, ws: Workspace) -> int:
     """Steps 1-3 end to end, then a MetricsReport per (task, style)."""
     started = time.time()
-    ensure_data(cfg, ws)
-    save_config(cfg, ws.root / "config.txt")
-    _run_cells(cfg, ws, [(style, cfg.mode) for style in (STYLELESS,) + STYLES],
-               [(cfg, ws, task, False) for task in cfg.tasks])
+    start_run(cfg, ws)
+    _run_cells(cfg, ws, [(cfg, ws, task, False) for task in cfg.tasks])
     print(f"pipeline: done in {time.time() - started:.0f}s "
           f"({len(cfg.tasks)} tasks x {len(STYLES) + 1} adapter sets)")
     return 0
@@ -360,33 +387,31 @@ def cmd_pipeline(cfg: RunConfig, ws: Workspace) -> int:
 def cmd_ablate(cfg: RunConfig, ws: Workspace, task: str) -> int:
     """Grid of {inverse-para, denoise} x {enc, enc+catt, enc+catt+dec} + no-s0.
 
-    Each cell runs in its own workdir on the run's config with the cell's
-    mode and trainable group. It decodes every style, s0 included, through
-    the adapters its stage 2 trained with: its mode's, except that the
-    no-s0 cell trains and decodes s0 through fresh identity adapters, which
-    are never saved. Adapters already on disk are reused.
+    Each cell runs on the run's config with the cell's mode and trainable
+    group; the cell of the config's own pair is the run itself, and each
+    other cell has its own workdir. A cell decodes every style, s0 included,
+    through the adapters its stage 2 trained with: its mode's, except that
+    the no-s0 cell trains and decodes s0 through fresh identity adapters,
+    which are never saved.
     """
     if task not in cfg.tasks:
         raise CliError(f"ablate --task {task}: not one of the config's tasks "
                        f"({','.join(cfg.tasks)})")
     started = time.time()
-    ensure_data(cfg, ws)
-    save_config(cfg, ws.root / "config.txt")
+    start_run(cfg, ws)
     styles = (STYLELESS,) + STYLES
-    adapters = [(style, mode) for mode in training.MODES for style in styles
-                if not ws.adapter_path(style, mode).exists()]
-    # name -> (mode, trainable, fresh_s0, stage-2 seed tag)
-    grid = {f"{mode}/{sel}": (mode, sel, False, f"ablate-{mode}-{sel.replace('+', '_')}")
-            for mode in training.MODES for sel in mdl.SELECTORS}
-    grid["no-s0/enc"] = ("inverse-para", "enc", True, "ablate-nos0")
+    grid = {f"{mode}/{sel}": (mode, sel, False) for mode in training.MODES
+            for sel in mdl.SELECTORS}
+    grid["no-s0/enc"] = ("inverse-para", "enc", True)
     cells = {}
-    for name, (mode, sel, fresh_s0, tag) in grid.items():
-        cell_cfg = replace(cfg, trainable=sel, mode=mode)
-        cell_ws = Workspace(ws.root / "ablate" / name, run=ws.root, seed_tag=tag)
-        cell_ws.ensure_dirs()
-        save_config(cell_cfg, cell_ws.root / "config.txt")
+    for name, (mode, sel, fresh_s0) in grid.items():
+        cell_cfg, cell_ws = replace(cfg, trainable=sel, mode=mode), ws
+        if cell_cfg != cfg or fresh_s0:
+            cell_ws = Workspace(ws.root / "ablate" / name, run=ws.root)
+            cell_ws.ensure_dirs()
+            save_config(cell_cfg, cell_ws.root / "config.txt")
         cells[name] = (cell_cfg, cell_ws, task, fresh_s0)
-    _run_cells(cfg, ws, adapters, list(cells.values()))
+    _run_cells(cfg, ws, list(cells.values()))
     width = max(map(len, cells))
     lines = [f"{'cell':{width}s} {'r1':>6s} {'rl':>6s} "
              + " ".join(f"marker.{s:>2s}" for s in STYLES)]

@@ -9,10 +9,8 @@ lexicographically smaller token ids. Beam size 1 is greedy search.
 Decoding is incremental. The model scorer keeps a `DecodeCache` of every
 decoder layer's keys and values and finds each prefix's parent row by
 looking up `prefix[:-1]` among the previous call's prefixes, so a step
-feeds only the newest token. When some prefix has no parent there (the
-first call, or a caller that breaks the chain), the cache restarts from
-the full prefixes. The search core stays model-agnostic: it sees only
-lists of prefixes and log-prob rows. It ranks each step's
+feeds only the newest token. The search core stays model-agnostic: it sees
+only lists of prefixes and log-prob rows. It ranks each step's
 candidates as a [hypotheses, vocab] array and stops as soon as no active
 hypothesis can beat the best finished one, at every length penalty (the
 optimal-stopping bound of Huang, Zhao & Ma 2017, "When to Finish?").
@@ -82,27 +80,20 @@ def log_softmax_rows(x: np.ndarray) -> np.ndarray:
 def model_step_fn(model: Model, src: list[int], vocab: Vocab):
     """Per-step scorer: batch of equal-length prefixes -> log-prob rows.
 
-    Incremental: each prefix whose `prefix[:-1]` was a prefix of the
-    previous call continues that row's cache with its last token. If any
-    prefix has no such parent, the cache restarts and every prefix is fed
-    whole, through the same decoder function.
+    Incremental: each prefix continues the cache row of its `prefix[:-1]`,
+    which must be a prefix of the previous call (the empty prefix before the
+    first call), with its last token. A prefix without one raises KeyError.
     """
     with ag.no_grad():
         enc = encode_batch(model, np.asarray([src], dtype=np.int64), None)
-        source = DecodeCache.build(model, enc)
-    cache: DecodeCache | None = None
-    rows: dict[tuple[int, ...], int] = {}  # prefix of the previous call -> its cache row
+        cache = DecodeCache.build(model, enc)
+    rows: dict[tuple[int, ...], int] = {(): 0}  # prefix of the previous call -> its cache row
 
     def step(prefixes: list[list[int]]) -> np.ndarray:
         nonlocal cache, rows
         keys = [tuple(p) for p in prefixes]
-        parents = [rows.get(key[:-1]) for key in keys]
-        if None in parents:
-            cache = source.select(np.zeros(len(keys), dtype=np.intp))
-            tokens = np.asarray(keys, dtype=np.int64)
-        else:
-            cache = cache.select(np.asarray(parents, dtype=np.intp))
-            tokens = np.asarray([key[-1:] for key in keys], dtype=np.int64)
+        cache = cache.select(np.asarray([rows[key[:-1]] for key in keys], dtype=np.intp))
+        tokens = np.asarray([key[-1:] for key in keys], dtype=np.int64)
         rows = {key: r for r, key in enumerate(keys)}
         with ag.no_grad():
             logits = decode_logits_batch(model, enc, None, tokens, cache=cache)

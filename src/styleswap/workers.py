@@ -104,9 +104,9 @@ def _pool(workers: int, unfinished: Callable[[], str]) -> Iterator:
 class _Job:
     """One stage command to run in a worker: `command(*args)`.
 
-    `needs` are the keys of the jobs whose artifacts it reads; a key that
-    names no job stands for an artifact already on disk. `urgent` jobs gate
-    the most work downstream and start ahead of other ready ones.
+    `needs` are the keys of the jobs whose artifacts it reads; each must name
+    a job. `urgent` jobs gate the most work downstream and start ahead of
+    other ready ones.
     """
 
     key: str
@@ -127,10 +127,12 @@ def _captured(command: Callable[..., int], args: tuple) -> str:
 def _run_jobs(jobs: list[_Job]) -> Iterator[str]:
     """Run `jobs` in worker processes; yield each one's printed text in list order.
 
-    One worker per usable CPU, at most one per job. A job starts once its
-    `needs` have finished, and every ready job goes to a free worker before
-    the next text is yielded; no more jobs start than there are workers, so
-    an urgent job that becomes ready overtakes every job not yet started.
+    A need that names no job of the list raises `ValueError` before any
+    worker starts. One worker per usable CPU, at most one per job. A job
+    starts once its `needs` have finished, and every ready job goes to a
+    free worker before the next text is yielded; no more jobs start than
+    there are workers, so an urgent job that becomes ready overtakes every
+    job not yet started.
 
     When a job fails, no job after it in the list starts; the jobs before it
     run on, and the first failure in list order is raised where its text
@@ -144,7 +146,10 @@ def _run_jobs(jobs: list[_Job]) -> Iterator[str]:
     if not _can_fork():
         raise WorkerError("worker processes need the fork start method, which this platform lacks")
     index = {job.key: i for i, job in enumerate(jobs)}
-    needs = [[index[key] for key in job.needs if key in index] for job in jobs]
+    unknown = [(job.key, key) for job in jobs for key in job.needs if key not in index]
+    if unknown:
+        raise ValueError("job {!r} needs {!r}, which no job makes".format(*unknown[0]))
+    needs = [[index[key] for key in job.needs] for job in jobs]
     queue = sorted(range(len(jobs)), key=lambda i: (not jobs[i].urgent, i))
     workers = max(1, min(_usable_cpus(), len(jobs)))
     running, finished, first_failed = {}, {}, len(jobs)

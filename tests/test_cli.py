@@ -89,6 +89,14 @@ def flow(tmp_path_factory):
 
 
 @pytest.fixture(scope="module")
+def piped(tmp_path_factory):
+    """A micro workdir after `pipeline`, with the flags `ablated` runs on."""
+    ws = tmp_path_factory.mktemp("pipe")
+    assert run(ws, "pipeline") == 0
+    return ws
+
+
+@pytest.fixture(scope="module")
 def ablated(tmp_path_factory):
     """A micro workdir after `ablate`, and what the command printed."""
     ws, out = tmp_path_factory.mktemp("ablate"), io.StringIO()
@@ -349,6 +357,22 @@ class TestGenerate:
         assert capsys.readouterr().err == "error: beam_size must be >= 1, got 0\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command, model", [
+        (["generate", "--task", "headline", "--style", "s1"], "base_headline.enc.ckpt"),
+        (["evaluate", "--task", "headline", "--style", "s1",  # the references stand in for outputs
+          "--outputs", "data/task_headline.test.tgt"], "base_headline.enc.ckpt"),
+        (["train-adapter", "--style", "s1"], "base_init.ckpt")])
+    def test_model_built_under_another_config_is_refused(self, flow, monkeypatch, capsys,
+                                                         command, model):
+        monkeypatch.chdir(flow)
+        before = tree_digest(flow)
+        assert run(flow, "--set", "d_model=16", "--set", "adapter_bottleneck=8", *command) == 1
+        assert capsys.readouterr().err == (
+            f"error: {flow}/models/{model} was built with a different model config: "
+            "d_model 32 (checkpoint) vs 16 (config), adapter_bottleneck 4 (checkpoint) "
+            "vs 8 (config); use a fresh workdir or matching flags\n")
+        assert tree_digest(flow) == before  # no output, scores, report or log
+
     def test_rerun_bit_identical(self, flow):
         out = flow / "outputs/headline.s1.out"
         assert run(flow, "generate", "--task", "headline", "--style", "s1") == 0
@@ -448,6 +472,15 @@ class TestJobs:
             assert next(printed) == "a\n"
             assert submitted == [("a",), ("b",)]  # b, made ready by a, before a's text
             assert next(printed) == "b\n"
+
+    def test_unknown_need_is_refused_before_any_worker_starts(self, monkeypatch):
+        pools = []
+        monkeypatch.setattr(workers, "_pool", lambda *a: pools.append(a))
+        jobs = [workers._Job("a", print, ("a",)),
+                workers._Job("b", print, ("b",), needs=("a", "on disk"))]
+        with pytest.raises(ValueError, match="^job 'b' needs 'on disk', which no job makes$"):
+            next(workers._run_jobs(jobs))
+        assert pools == []
 
     def test_cpu_count_without_affinity(self, monkeypatch):
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
@@ -700,7 +733,7 @@ class TestPipelineMicro:
     def test_ablate_cells_record_their_configs(self, ablated):
         ws, _ = ablated
         cells = {f"{mode}/{sel}": (mode, sel) for mode in training.MODES
-                 for sel in mdl.SELECTORS}
+                 for sel in mdl.SELECTORS if (mode, sel) != ("inverse-para", "enc")}
         cells["no-s0/enc"] = ("inverse-para", "enc")
         assert sorted(str(p.parent.relative_to(ws / "ablate"))
                       for p in (ws / "ablate").rglob("config.txt")) == sorted(cells)
@@ -718,8 +751,12 @@ class TestPipelineMicro:
 
     def test_ablate_cells_decode_s0_through_their_own_mode(self, ablated):
         ws, out = ablated
-        s0_adapter = {str(Path(line.split()[-1]).parents[1].relative_to(ws / "ablate")):
-                      line.split()[3] for line in out.splitlines()
+
+        def cell(line):  # the run's own workdir is the inverse-para/enc cell
+            root = Path(line.split()[-1]).parents[1]
+            return "inverse-para/enc" if root == ws else str(root.relative_to(ws / "ablate"))
+
+        s0_adapter = {cell(line): line.split()[3] for line in out.splitlines()
                       if line.startswith("generate: ") and line.endswith("/headline.s0.out")}
         assert s0_adapter == {
             **{f"inverse-para/{sel}": "adapter=s0.inverse-para" for sel in mdl.SELECTORS},
@@ -740,22 +777,67 @@ class TestPipelineMicro:
 
     def test_ablate_cells_keep_their_own_files(self, ablated):
         ws, _ = ablated
+        styles = ("s0", "s1", "s2", "s3")
+
+        def cell_files(sel):
+            return {"config.txt", f"models/base_headline.{sel.replace('+', '_')}.ckpt",
+                    f"logs/step2.headline.{sel}.jsonl",
+                    *(f"outputs/headline.{style}.{ext}" for ext in ("out", "scores")
+                      for style in styles),
+                    *(f"reports/headline.{style}.report.txt" for style in styles)}
+
         cells = [f"{mode}/{sel}" for mode in training.MODES for sel in mdl.SELECTORS]
-        for name in cells + ["no-s0/enc"]:
-            cell, sel = ws / "ablate" / name, name.split("/")[1]
+        for name in cells[1:] + ["no-s0/enc"]:
+            cell = ws / "ablate" / name
             files = {str(p.relative_to(cell)) for p in cell.rglob("*") if p.is_file()}
-            assert files == {"config.txt", f"models/base_headline.{sel.replace('+', '_')}.ckpt",
-                             f"logs/step2.headline.{sel}.jsonl",
-                             *(f"outputs/headline.{style}.{ext}" for ext in ("out", "scores")
-                               for style in ("s0", "s1", "s2", "s3")),
-                             *(f"reports/headline.{style}.report.txt"
-                               for style in ("s0", "s1", "s2", "s3"))}, name
-        # the run's workdir keeps only what the cells share, and the table
-        assert sorted(p.name for p in (ws / "models").iterdir()) == ["base_init.ckpt"]
-        assert sorted(p.name for p in (ws / "reports").iterdir()) == ["ablation_headline.txt"]
-        assert not list((ws / "outputs").iterdir())
-        assert all(p.name.startswith("step1.") for p in (ws / "logs").iterdir())
+            assert files == cell_files(name.split("/")[1]), name
+        assert not (ws / "ablate/inverse-para/enc").exists()
+        # the run's workdir holds the inverse-para/enc cell, what the cells share, and the table
+        files = {str(p.relative_to(ws)) for p in ws.rglob("*")
+                 if p.is_file() and p.parts[len(ws.parts)] not in ("ablate", "data")}
+        assert files == cell_files("enc") | {
+            "models/base_init.ckpt", "reports/ablation_headline.txt",
+            *(f"adapters/{style}.{mode}.adapter" for style in styles for mode in training.MODES),
+            *(f"logs/step1.{style}.{mode}.jsonl" for style in styles for mode in training.MODES)}
         assert not list(ws.rglob("*ablate-*")) and not list(ws.rglob("*.grid.*"))
+
+    def test_ablate_run_cell_is_the_pipeline_run(self, ablated, piped):
+        ws, _ = ablated
+        pipeline, after = tree_digest(piped), tree_digest(ws)
+        assert {rel: after.get(rel) for rel in pipeline} == pipeline
+        row, = [line.split() for line in (ws / "reports/ablation_headline.txt").read_text()
+                .splitlines() if line.startswith("inverse-para/enc ")]
+        report = {s: mx.read_report(piped / f"reports/headline.{s}.report.txt")
+                  for s in ("s0", "s1", "s2", "s3")}
+        assert row[1:] == [f"{report['s0'].r1:.3f}", f"{report['s0'].rl:.3f}",
+                           *(f"{report[s].marker[s]:.3f}" for s in ("s1", "s2", "s3"))]
+
+    def test_ablate_after_pipeline_keeps_every_pipeline_file(self, piped, tmp_path):
+        ws = tmp_path / "w"
+        shutil.copytree(piped, ws)
+        assert run(ws, "ablate", "--task", "headline") == 0
+        pipeline, after = tree_digest(piped), tree_digest(ws)
+        assert {rel: after.get(rel) for rel in pipeline} == pipeline
+
+    @pytest.mark.parametrize("command", ["pipeline", "ablate"])
+    def test_workdir_written_with_other_settings_is_refused(self, piped, tmp_path, capsys,
+                                                             command):
+        ws = tmp_path / "w"
+        shutil.copytree(piped, ws)
+        before = tree_digest(ws)
+        assert run(ws, "--set", "lr=0.002", command) == 1
+        assert capsys.readouterr().err == (
+            f"error: {ws}/config.txt was written with different settings: lr 0.001 (workdir) "
+            "vs 0.002 (config); use a fresh workdir or matching flags\n")
+        assert tree_digest(ws) == before
+        with open(ws / "config.txt", "a", encoding="utf-8") as fh:  # an older config.txt
+            fh.write("preset=toy\n")
+        before = tree_digest(ws)
+        assert run(ws, command) == 1
+        assert capsys.readouterr().err == (
+            f"error: {ws}/config.txt does not parse (unknown config keys: ['preset']); "
+            "use a fresh workdir\n")
+        assert tree_digest(ws) == before
 
     def test_ablate_task_outside_the_config_fails_before_training(self, tmp_path, capsys):
         ws = tmp_path / "abl"

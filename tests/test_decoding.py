@@ -291,7 +291,7 @@ class TestIncrementalDecoding:
             np.testing.assert_allclose(got.data, want.data[:, -3:], rtol=0, atol=1e-10)
             assert cache.length == prefixes.shape[1]
 
-    def test_scorer_falls_back_when_the_chain_breaks(self, tiny_setup, monkeypatch):
+    def test_scorer_raises_when_the_chain_breaks(self, tiny_setup, monkeypatch):
         vocab, model, adapters = tiny_setup
         model = float64(model, adapters)
         x = [vocab.keywords[3], vocab.keywords[4]]
@@ -310,13 +310,15 @@ class TestIncrementalDecoding:
             [[b, a], [b, c], [b, d]],
             [[b, d, e], [b, a, e], [b, d, a], [b, d, e]],  # reordered, duplicated
             [[b, d, a, c]],
-            [[b, a, c, d, e]],  # parent [b, a, c, d] was never scored: full recompute
-            [[b, a, c, d, e, a], [b, a, c, d, e, c]],
-            [[b, e]],  # shorter than the last call: full recompute
         ]
         for prefixes in calls:
             np.testing.assert_allclose(step(prefixes), ref(prefixes), rtol=0, atol=1e-10)
-        assert widths == [1, 1, 1, 1, 5, 1, 2]
+        assert widths == [1, 1, 1, 1]
+        with pytest.raises(KeyError):
+            step([[b, a, c, d, e]])  # parent [b, a, c, d] was never scored
+        with pytest.raises(KeyError):
+            step([[b, e]])  # shorter than the last call
+        assert widths == [1, 1, 1, 1]
 
     @pytest.mark.parametrize("alpha", [0.0, 1.0])
     def test_search_matches_oracle_on_tiny_model(self, tiny_setup, alpha):
