@@ -6,7 +6,7 @@ Subcommands:
   train-adapter  stage 1 for one style (--style, --mode)
   train-task     stage 2 for one task (--task, --trainable) through s0.<mode>
   generate       decode the task test set through <style>.<mode>
-  evaluate       score one generation run into a key=value report
+  evaluate       score one generation run into a JSON report
   pipeline       end to end: data, all adapters, all tasks, generate, evaluate
   gradcheck      finite-difference audit of the fused ops and a decoder-step loss
   ablate         pretraining-mode x trainable-group grid plus the no-s0 cell
@@ -20,7 +20,9 @@ are shorthands for its keys `mode`, `trainable` and `beam_size`, and
 override `--set`.
 
 Each stage-1, stage-2, generate and evaluate line ends with `-> <path>`,
-the file it wrote; `evaluate --outputs X` writes its report beside X.
+the file it wrote; `evaluate --outputs X` writes its report to X with
+suffix `.report.json`. A `--task` outside the config's tasks is refused
+before any work.
 
 A workdir and its `config.txt` are a run's only identity: `pipeline` and
 `ablate` refuse a workdir whose `config.txt` holds other settings. The
@@ -107,13 +109,19 @@ class Workspace:
         return self.outputs / f"{task}.{style}.out"
 
     def report_path(self, task: str, style: str) -> Path:
-        return self.reports / f"{task}.{style}.report.txt"
+        return self.reports / f"{task}.{style}.report.json"
 
 
 def _differences(have: dict, want: dict, source: str, target: str = "config") -> list[str]:
     """One "key X (source) vs Y (target)" entry per key of `want` whose values differ."""
     return [f"{key} {have[key]!r} ({source}) vs {want[key]!r} ({target})"
             for key in want if have[key] != want[key]]
+
+
+def _require_task(cfg: RunConfig, command: str, task: str) -> None:
+    if task not in cfg.tasks:
+        raise CliError(f"{command} --task {task}: not one of the config's tasks "
+                       f"({','.join(cfg.tasks)})")
 
 
 def _require_data(cfg: RunConfig, ws: Workspace):
@@ -242,6 +250,7 @@ def cmd_train_adapter(cfg: RunConfig, ws: Workspace, style: str) -> int:
 
 
 def cmd_train_task(cfg: RunConfig, ws: Workspace, task: str, fresh_s0: bool = False) -> int:
+    _require_task(cfg, "train-task", task)
     _require_data(cfg, ws)
     vocab, trainable = Vocab(), cfg.trainable
     splits = training.load_task_pairs(ws.data, task, vocab, cfg.model.max_len)
@@ -262,6 +271,7 @@ def cmd_train_task(cfg: RunConfig, ws: Workspace, task: str, fresh_s0: bool = Fa
 
 def cmd_generate(cfg: RunConfig, ws: Workspace, task: str, style: str, fresh_s0: bool = False,
                  input_file: Path | None = None, output_file: Path | None = None) -> int:
+    _require_task(cfg, "generate", task)
     if input_file is None:
         _require_data(cfg, ws)
     vocab = Vocab()
@@ -273,8 +283,7 @@ def cmd_generate(cfg: RunConfig, ws: Workspace, task: str, style: str, fresh_s0:
     src_path = Path(input_file) if input_file else ws.data / f"task_{task}.test.src"
     out_path = Path(output_file) if output_file else ws.output_path(task, style)
     ws.ensure_dirs()
-    results = dec.generate_batch(model, adapters, src_path, out_path, cfg.decode,
-                                 vocab, scores_file=out_path.with_suffix(".scores"))
+    results = dec.generate_batch(model, adapters, src_path, out_path, cfg.decode, vocab)
     print(f"generate: base_sha={base_sha(model)} lineage={model.base_id[:16]} "
           f"adapter={adapters.style_id}.{adapters.mode} beam={cfg.decode.beam_size} "
           f"inputs={len(results)} -> {out_path}")
@@ -289,9 +298,9 @@ def metric_lms(ws: Workspace, task: str) -> MetricLMs:
     """The LMs that evaluate scores a task with: plain (task targets) and one per style."""
     vocab = Vocab()
     plain = mx.train_ngram_lm(read_corpus(ws.data / f"task_{task}.train.tgt", vocab),
-                              LM_ORDER, LM_K, vocab, tag="plain")
+                              LM_ORDER, LM_K, vocab)
     styled = {style: mx.train_ngram_lm(read_corpus(ws.data / f"style_{style}.train.txt", vocab),
-                                       LM_ORDER, LM_K, vocab, tag=style)
+                                       LM_ORDER, LM_K, vocab)
               for style in STYLES}
     return plain, styled
 
@@ -307,9 +316,11 @@ def cmd_evaluate(cfg: RunConfig, ws: Workspace, task: str, style: str,
                  embeddings: np.ndarray | None = None) -> int:
     """Score one output file: the workdir's, or `outputs_file` with its report beside it.
 
-    `lms` are the task's `metric_lms` and `embeddings` its `task_embeddings`;
+    The report of `outputs_file` X is X with suffix `.report.json`. `lms`
+    are the task's `metric_lms` and `embeddings` its `task_embeddings`;
     each is made here if None.
     """
+    _require_task(cfg, "evaluate", task)
     _require_data(cfg, ws)
     vocab = Vocab()
     out_path = Path(outputs_file) if outputs_file else ws.output_path(task, style)
@@ -325,7 +336,7 @@ def cmd_evaluate(cfg: RunConfig, ws: Workspace, task: str, style: str,
         embeddings = task_embeddings(cfg, ws, task)
     report = mx.evaluate_run(outputs, references, plain_lm, style_lms, vocab,
                              embeddings=embeddings)
-    report_path = (out_path.with_suffix(".report.txt") if outputs_file
+    report_path = (out_path.with_suffix(".report.json") if outputs_file
                    else ws.report_path(task, style))
     mx.write_report(report, report_path)
     markers = " ".join(f"marker.{s}={report.marker[s]:.3f}" for s in STYLES)
@@ -394,9 +405,7 @@ def cmd_ablate(cfg: RunConfig, ws: Workspace, task: str) -> int:
     the no-s0 cell trains and decodes s0 through fresh identity adapters,
     which are never saved.
     """
-    if task not in cfg.tasks:
-        raise CliError(f"ablate --task {task}: not one of the config's tasks "
-                       f"({','.join(cfg.tasks)})")
+    _require_task(cfg, "ablate", task)
     started = time.time()
     start_run(cfg, ws)
     styles = (STYLELESS,) + STYLES

@@ -6,14 +6,15 @@ emitted. Per-step candidate ranking and the final hypothesis pick share
 one deterministic tie-break: higher score, then shorter output, then
 lexicographically smaller token ids. Beam size 1 is greedy search.
 
-Decoding is incremental. The model scorer keeps a `DecodeCache` of every
-decoder layer's keys and values and finds each prefix's parent row by
-looking up `prefix[:-1]` among the previous call's prefixes, so a step
-feeds only the newest token. The search core stays model-agnostic: it sees
-only lists of prefixes and log-prob rows. It ranks each step's
-candidates as a [hypotheses, vocab] array and stops as soon as no active
-hypothesis can beat the best finished one, at every length penalty (the
-optimal-stopping bound of Huang, Zhao & Ma 2017, "When to Finish?").
+Decoding is incremental. The search core hands the scorer each step's
+prefixes and their parent rows in the previous call; the model scorer
+selects those rows of its `DecodeCache` of every decoder layer's keys and
+values and feeds only the newest token. The search core stays
+model-agnostic: it sees only prefixes, row indices and log-prob rows. It
+ranks each step's candidates as a [hypotheses, vocab] array and stops as
+soon as no active hypothesis can beat the best finished one, at every
+length penalty (the optimal-stopping bound of Huang, Zhao & Ma 2017, "When
+to Finish?").
 
 `generate_batch` decodes an input file through one given `AdapterSet`. It
 checks every input line, then decodes the lines in `n = min(usable CPUs,
@@ -69,7 +70,6 @@ class DecodeConfig:
 class DecodeResult:
     tokens: list[int]  # BOS/EOS stripped
     score: float  # sum of log-probs over steps**length_penalty
-    style_id: str | None = None
 
 
 def log_softmax_rows(x: np.ndarray) -> np.ndarray:
@@ -78,23 +78,19 @@ def log_softmax_rows(x: np.ndarray) -> np.ndarray:
 
 
 def model_step_fn(model: Model, src: list[int], vocab: Vocab):
-    """Per-step scorer: batch of equal-length prefixes -> log-prob rows.
+    """Per-step scorer: (equal-length prefixes, their parent rows) -> log-prob rows.
 
-    Incremental: each prefix continues the cache row of its `prefix[:-1]`,
-    which must be a prefix of the previous call (the empty prefix before the
-    first call), with its last token. A prefix without one raises KeyError.
+    Incremental: prefix j extends row `parents[j]` of the previous call (row
+    0, the empty prefix, before the first call) by its last token.
     """
     with ag.no_grad():
         enc = encode_batch(model, np.asarray([src], dtype=np.int64), None)
         cache = DecodeCache.build(model, enc)
-    rows: dict[tuple[int, ...], int] = {(): 0}  # prefix of the previous call -> its cache row
 
-    def step(prefixes: list[list[int]]) -> np.ndarray:
-        nonlocal cache, rows
-        keys = [tuple(p) for p in prefixes]
-        cache = cache.select(np.asarray([rows[key[:-1]] for key in keys], dtype=np.intp))
-        tokens = np.asarray([key[-1:] for key in keys], dtype=np.int64)
-        rows = {key: r for r, key in enumerate(keys)}
+    def step(prefixes: list[list[int]], parents) -> np.ndarray:
+        nonlocal cache
+        cache = cache.select(np.asarray(parents, dtype=np.intp))
+        tokens = np.asarray([p[-1:] for p in prefixes], dtype=np.int64)
         with ag.no_grad():
             logits = decode_logits_batch(model, enc, None, tokens, cache=cache)
         logp = log_softmax_rows(logits.data[:, -1, :])
@@ -113,10 +109,12 @@ def beam_core(step_fn, bos: int, eos: int, max_len: int, beam_size: int,
               alpha: float) -> tuple[list[int], float]:
     """Standard beam search; finished hypotheses retire into a pool.
 
-    `step_fn` rows are log-probabilities: every entry is <= 0 and -inf bans
-    a token. Each step keeps the `beam_size` best finite candidates ranked
-    by (-score, tokens). All active hypotheses have the same length, so the
-    token order is the parent's lexicographic rank, then the new token id.
+    `step_fn(prefixes, parents)` scores the active prefixes; `parents[j]` is
+    prefix j's row in the previous call, `[0]` in the first. Its rows are
+    log-probabilities: every entry is <= 0 and -inf bans a token. Each step
+    keeps the `beam_size` best finite candidates ranked by (-score, tokens).
+    All active hypotheses have the same length, so the token order is the
+    parent's lexicographic rank, then the new token id.
     A hypothesis scored over `steps` steps ranks by its norm,
     `score / steps**alpha`. The search stops once the best active score,
     normalized over all `max_len` steps, is at most the best finished norm.
@@ -130,10 +128,11 @@ def beam_core(step_fn, bos: int, eos: int, max_len: int, beam_size: int,
 
     active: list[tuple[int, ...]] = [()]
     scores = np.zeros(1)
+    parents = [0]  # each active hypothesis's row in the previous step_fn call
     pool: list[tuple[tuple[int, ...], float, int]] = []  # tokens, score, steps scored
     best_done = -np.inf  # best finished norm
     for _ in range(max_len):
-        logp = step_fn([[bos, *toks] for toks in active])
+        logp = step_fn([[bos, *toks] for toks in active], parents)
         flat = np.flatnonzero(np.isfinite(logp))
         cand = (scores[:, None] + logp).ravel()[flat]
         if cand.size > beam_size:
@@ -144,7 +143,7 @@ def beam_core(step_fn, bos: int, eos: int, max_len: int, beam_size: int,
         n = len(active)
         rank = np.empty(n, dtype=np.intp)  # lexicographic rank of each active hypothesis
         rank[sorted(range(n), key=active.__getitem__)] = np.arange(n)
-        kept, kept_scores = [], []
+        kept, kept_scores, parents = [], [], []
         for i in np.lexsort((tok, rank[parent], -cand))[:beam_size]:
             seq, score = active[parent[i]] + (int(tok[i]),), float(cand[i])
             if seq[-1] == eos:
@@ -153,6 +152,7 @@ def beam_core(step_fn, bos: int, eos: int, max_len: int, beam_size: int,
             else:
                 kept.append(seq)
                 kept_scores.append(score)
+                parents.append(parent[i])
         active, scores = kept, np.asarray(kept_scores)
         if not active or norm(scores.max(), max_len) <= best_done:
             break
@@ -170,18 +170,18 @@ def beam_search(model: Model, adapters, x: list[int], cfg: DecodeConfig,
     swap_adapters(model, adapters)
     tokens, score = beam_core(model_step_fn(model, x, vocab), vocab.bos, vocab.eos,
                               cfg.max_out_len, cfg.beam_size, cfg.length_penalty)
-    return DecodeResult(tokens, score, adapters.style_id)
+    return DecodeResult(tokens, score)
 
 
 def generate_batch(model: Model, adapters: AdapterSet, input_file: Path,
-                   output_file: Path, cfg: DecodeConfig, vocab: Vocab,
-                   scores_file: Path | None = None) -> list[DecodeResult]:
+                   output_file: Path, cfg: DecodeConfig, vocab: Vocab) -> list[DecodeResult]:
     """Decode every input line through `adapters`; one output line per input line, in order.
 
-    Every line is checked before any is decoded. On any failure no file is
-    written, and no worker outlives the call. `max_out_len` is checked here
-    too, since a checkpoint read from disk can carry another `max_len` than
-    the run's config.
+    Each line's score goes to the same line of `output_file` with suffix
+    `.scores`. Every line, and the output directory, is checked before any
+    line is decoded. On any failure no file is written, and no worker
+    outlives the call. `max_out_len` is checked here too, since a checkpoint
+    read from disk can carry another `max_len` than the run's config.
     """
     if cfg.max_out_len > model.config.max_len:
         raise ValueError(f"max_out_len={cfg.max_out_len} exceeds the model's "
@@ -192,12 +192,13 @@ def generate_batch(model: Model, adapters: AdapterSet, input_file: Path,
             raise ValueError(f"{input_file}:{lineno}: empty input sequence")
         if len(src) > model.config.max_len:
             raise ValueError(f"{input_file}:{lineno}: input longer than model max_len")
+    if not output_file.parent.is_dir():
+        raise ValueError(f"{output_file}: directory {output_file.parent} does not exist")
     results = _decode_in_shards(model, adapters, inputs, cfg, vocab, output_file)
     write_corpus(output_file, [r.tokens for r in results], vocab)
-    if scores_file is not None:
-        with open(scores_file, "w", encoding="utf-8") as fh:
-            for r in results:
-                fh.write(f"{r.score!r}\n")
+    with open(output_file.with_suffix(".scores"), "w", encoding="utf-8") as fh:
+        for r in results:
+            fh.write(f"{r.score!r}\n")
     return results
 
 

@@ -7,16 +7,16 @@ trained on each style corpus. The style-marker rate is this artifact's
 direct style-strength oracle: the fraction of output lines carrying the
 target style's markers and nobody else's.
 
-Reports serialize as one key=value line per metric with fixed key names
-(r1, r2, rl, ppl, ppl_s.<style>, marker.<style>), floats via repr so the
-file round-trips losslessly.
+A report file is its `MetricsReport` as one JSON object, keyed by the
+field names; JSON writes floats via repr, so the file round-trips losslessly.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -88,8 +88,7 @@ class NgramLM:
     sequence and is scored. Unseen contexts give exactly 1/V per token.
     """
 
-    def __init__(self, order: int, k: float, vocab_ids: list[int], bos: int,
-                 eos: int, tag: str = "plain"):
+    def __init__(self, order: int, k: float, vocab_ids: list[int], bos: int, eos: int):
         if order < 1:
             raise ValueError("order must be >= 1")
         if k <= 0:
@@ -100,7 +99,6 @@ class NgramLM:
         self.V = len(self.vocab_ids)
         self.bos = bos
         self.eos = eos
-        self.tag = tag
         self.ngram_counts: Counter = Counter()
         self.context_counts: Counter = Counter()
 
@@ -131,13 +129,12 @@ class NgramLM:
         return total, events
 
 
-def train_ngram_lm(corpus: list[list[int]], order: int, k: float, vocab: Vocab,
-                   tag: str = "plain") -> NgramLM:
+def train_ngram_lm(corpus: list[list[int]], order: int, k: float, vocab: Vocab) -> NgramLM:
     """Fit an LM whose predictable vocabulary is everything but PAD and BOS."""
     if not corpus:
         raise ValueError("train_ngram_lm: empty corpus")
     ids = [i for i in range(len(vocab)) if i not in (vocab.pad, vocab.bos)]
-    return NgramLM(order, k, ids, vocab.bos, vocab.eos, tag=tag).fit(corpus)
+    return NgramLM(order, k, ids, vocab.bos, vocab.eos).fit(corpus)
 
 
 def perplexity(lm: NgramLM, sequences: list[list[int]]) -> float:
@@ -225,33 +222,20 @@ def evaluate_run(outputs: list[list[int]], references: list[list[int]],
 
 
 def write_report(report: MetricsReport, path: Path) -> None:
-    lines = [f"r1={report.r1!r}", f"r2={report.r2!r}", f"rl={report.rl!r}",
-             f"ppl={report.ppl!r}"]
-    for style, value in sorted(report.ppl_s.items()):
-        lines.append(f"ppl_s.{style}={value!r}")
-    for style, value in sorted(report.marker.items()):
-        lines.append(f"marker.{style}={value!r}")
-    if report.bert_proxy is not None:
-        lines.append(f"bert_proxy={report.bert_proxy!r}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    Path(path).write_text(json.dumps(asdict(report), indent=1, sort_keys=True) + "\n",
+                          encoding="utf-8")
 
 
 def read_report(path: Path) -> MetricsReport:
-    values: dict[str, float] = {}
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if not line.strip():
-            continue
-        key, _, raw = line.partition("=")
-        values[key] = float(raw)
-    report = MetricsReport(r1=values.pop("r1"), r2=values.pop("r2"),
-                           rl=values.pop("rl"), ppl=values.pop("ppl"),
-                           bert_proxy=values.pop("bert_proxy", None))
-    for key, val in values.items():
-        family, _, style = key.partition(".")
-        if family == "ppl_s":
-            report.ppl_s[style] = val
-        elif family == "marker":
-            report.marker[style] = val
-        else:
-            raise ValueError(f"{path}: unknown report key {key!r}")
-    return report
+    """The report at `path`; ValueError naming the file unless it holds every field and no other."""
+    try:
+        values = json.loads(Path(path).read_text(encoding="utf-8"))
+    except json.JSONDecodeError:
+        values = None
+    if not isinstance(values, dict):
+        raise ValueError(f"{path}: not a JSON object")
+    odd = sorted(values.keys() ^ {f.name for f in fields(MetricsReport)})
+    if odd:
+        raise ValueError(f"{path}: {'unknown' if odd[0] in values else 'missing'} "
+                         f"report key {odd[0]!r}")
+    return MetricsReport(**values)

@@ -34,12 +34,12 @@ fused one must match bit for bit.
 
 Training and decoding share one decoder function, `decode_logits_batch`.
 Given a `DecodeCache`, it runs incrementally (Shazeer 2019,
-arXiv:1911.02150): it embeds only the new positions, appends each layer's
-new self-attention keys and values to the cached ones, and reads
-cross-attention keys and values projected once per source. `select`
-gathers cache rows, so a beam can reorder or duplicate its hypotheses
-between steps. The cache holds plain arrays off the autograd tape, so it
-is refused while gradients are recorded.
+arXiv:1911.02150): it embeds only the new positions, which start where the
+cached self-attention keys and values end, appends each layer's new keys
+and values to them, and reads cross-attention keys and values projected
+once per source. `select` gathers cache rows, so a beam can reorder or
+duplicate its hypotheses between steps. The cache holds plain arrays off
+the autograd tape, so it is refused while gradients are recorded.
 """
 
 from __future__ import annotations
@@ -320,13 +320,12 @@ class DecodeCache:
     Row r of every array belongs to prefix row r of the next
     `decode_logits_batch` call. `cross[i]` is decoder layer i's
     cross-attention (K, V) of the encoder states; `past[i]` is its
-    self-attention (K, V) of the `length` positions decoded so far. All are
-    [rows, heads, len, dh] arrays.
+    self-attention (K, V) of the positions decoded so far, as many as its
+    len axis holds. All are [rows, heads, len, dh] arrays.
     """
 
     cross: list[tuple[np.ndarray, np.ndarray]]
     past: list[tuple[np.ndarray, np.ndarray]]
-    length: int = 0
 
     @classmethod
     def build(cls, model: Model, enc_states: Tensor) -> DecodeCache:
@@ -341,7 +340,7 @@ class DecodeCache:
     def select(self, rows: np.ndarray) -> DecodeCache:
         """A cache whose row j is row `rows[j]` of this one; rows may repeat or reorder."""
         return DecodeCache([(k[rows], v[rows]) for k, v in self.cross],
-                           [(k[rows], v[rows]) for k, v in self.past], self.length)
+                           [(k[rows], v[rows]) for k, v in self.past])
 
 
 def decode_logits_batch(model: Model, enc_states: Tensor, src_mask: np.ndarray | None,
@@ -349,9 +348,9 @@ def decode_logits_batch(model: Model, enc_states: Tensor, src_mask: np.ndarray |
     """Next-token logits at every prefix position, shape [B, T, V].
 
     Without a cache, `prefix` is the whole decoder input and positions start
-    at 0. With one, `prefix` holds only the positions after the cached
-    `cache.length`; every layer appends their keys and values to the cache,
-    and cross-attention reads the cache's encoder K/V instead of projecting
+    at 0. With one, `prefix` holds only the positions after the cached ones;
+    every layer appends their keys and values to the cache, and
+    cross-attention reads the cache's encoder K/V instead of projecting
     `enc_states` again. The cache holds raw arrays off the tape, so it is
     refused while gradients are recorded.
     """
@@ -360,7 +359,7 @@ def decode_logits_batch(model: Model, enc_states: Tensor, src_mask: np.ndarray |
     if cache is not None and ag.grad_enabled():
         raise RuntimeError("decode cache is inference-only; call under autograd.no_grad()")
     t = prefix.shape[1]
-    past = 0 if cache is None else cache.length
+    past = 0 if cache is None else cache.past[0][0].shape[2]
     y = _embed(model, prefix, past)
     causal = causal_attention_mask(t, past)
     for i in range(model.config.n_dec_layers):
@@ -381,8 +380,6 @@ def decode_logits_batch(model: Model, enc_states: Tensor, src_mask: np.ndarray |
         f = _ffn(model, f"dec.{i}.ffn", y)
         y = _residual_ln(model, f"dec.{i}.ln3", y, f)
         y = adapter_forward(y, model.adapters, i, model.config.ln_eps)
-    if cache is not None:
-        cache.length += t
     return ag.tied_logits(y, model.params["emb.tok"])
 
 

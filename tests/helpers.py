@@ -35,7 +35,7 @@ def _prefix_seed(seed: int, prefix: tuple[int, ...]) -> int:
 def table_step_fn(seed: int, vocab_size: int):
     """Deterministic random log-prob table keyed by prefix; BOS is banned."""
 
-    def step(prefixes):
+    def step(prefixes, parents):
         rows = []
         for prefix in prefixes:
             rng = np.random.default_rng(_prefix_seed(seed, tuple(prefix)))
@@ -50,14 +50,16 @@ def table_step_fn(seed: int, vocab_size: int):
 
 
 def exhaustive_best(step_fn, max_len: int, vocab_size: int):
-    """Enumerate every decodable sequence and rank exactly like the decoder."""
+    """Enumerate every decodable sequence and rank exactly like the decoder.
+
+    The walk is depth-first, so `step_fn` must ignore its parent rows."""
     pool = []
 
     def walk(tokens, score):
         if len(tokens) == max_len:
             pool.append((tuple(tokens), score, len(tokens)))
             return
-        row = step_fn([[BOS, *tokens]])[0]
+        row = step_fn([[BOS, *tokens]], [0])[0]
         for tok in range(vocab_size):
             if not np.isfinite(row[tok]):
                 continue
@@ -90,7 +92,7 @@ def full_prefix_step_fn(model, src, vocab):
     with ag.no_grad():
         enc = mdl.encode_batch(model, np.asarray([src], dtype=np.int64), None)
 
-    def step(prefixes):
+    def step(prefixes, parents):
         tiled = ag.Tensor(np.repeat(enc.data, len(prefixes), axis=0))
         with ag.no_grad():
             logits = mdl.decode_logits_batch(model, tiled, None,
@@ -104,12 +106,14 @@ def full_prefix_step_fn(model, src, vocab):
 
 
 def greedy_core(step_fn, bos, eos, max_len):
-    """Reference for beam size 1: the argmax token at every step, raw score."""
+    """Reference for beam size 1: the argmax token at every step, raw score.
+
+    Each call scores one prefix, which extends row 0 of the call before."""
     prefix = [bos]
     tokens = []
     score = 0.0
     for _ in range(max_len):
-        row = step_fn([prefix])[0]
+        row = step_fn([prefix], [0])[0]
         tok = int(np.argmax(row))  # first maximum = lowest token id on ties
         score += float(row[tok])
         if tok == eos:
@@ -122,21 +126,23 @@ def greedy_core(step_fn, bos, eos, max_len):
 def list_beam_core(step_fn, bos, eos, max_len, beam_size, alpha):
     """Reference beam search: sorts every (score, tokens) candidate, never stops early."""
     active = [((), 0.0)]
+    parents = [0]
     pool = []  # tokens, score, steps scored
     for _ in range(max_len):
-        logp = step_fn([[bos, *toks] for toks, _ in active])
+        logp = step_fn([[bos, *toks] for toks, _ in active], parents)
         candidates = []
-        for (toks, score), row in zip(active, logp):
+        for row_id, ((toks, score), row) in enumerate(zip(active, logp)):
             for v in np.flatnonzero(np.isfinite(row)):
                 v = int(v)
-                candidates.append((score + float(row[v]), toks + (v,)))
+                candidates.append((score + float(row[v]), toks + (v,), row_id))
         candidates.sort(key=lambda c: (-c[0], c[1]))
-        active = []
-        for score, seq in candidates[:beam_size]:
+        active, parents = [], []
+        for score, seq, row_id in candidates[:beam_size]:
             if seq[-1] == eos:
                 pool.append((seq[:-1], score, len(seq)))
             else:
                 active.append((seq, score))
+                parents.append(row_id)
         if not active:
             break
     pool.extend((toks, score, len(toks)) for toks, score in active)
@@ -304,7 +310,7 @@ def composed_decode_logits_batch(model, enc_states, src_mask, prefix, cache=None
     if cache is not None and ag.grad_enabled():
         raise RuntimeError("decode cache is inference-only; call under autograd.no_grad()")
     t = prefix.shape[1]
-    past = 0 if cache is None else cache.length
+    past = 0 if cache is None else cache.past[0][0].shape[2]
     y = composed_embed(model, prefix, past)
     causal = mdl.causal_attention_mask(t, past)
     for i in range(model.config.n_dec_layers):
@@ -327,8 +333,6 @@ def composed_decode_logits_batch(model, enc_states, src_mask, prefix, cache=None
         f = composed_ffn(model, f"dec.{i}.ffn", y)
         y = composed_residual_ln(model, f"dec.{i}.ln3", y, f)
         y = composed_adapter_forward(y, model.adapters, i, model.config.ln_eps)
-    if cache is not None:
-        cache.length += t
     return composed_logits(model, y)
 
 

@@ -213,10 +213,13 @@ class TestOrdering:
         assert rc == 1
         assert "gen-data" in capsys.readouterr().err
 
-    def test_generate_without_model(self, flow, capsys):
-        rc = run(flow, "generate", "--task", "story", "--style", "s1")
+    def test_generate_without_model(self, tmp_path, capsys):
+        assert run(tmp_path, "gen-data") == 0
+        capsys.readouterr()
+        rc = run(tmp_path, "generate", "--task", "headline", "--style", "s1")
         assert rc == 1
-        assert "train-task" in capsys.readouterr().err
+        assert capsys.readouterr().err == (f"error: {tmp_path}/models/base_headline.enc.ckpt "
+                                           "missing; run train-task first\n")
 
     def test_checkpoint_from_older_version_is_one_line_error(self, tmp_path, capsys):
         assert run(tmp_path, "gen-data") == 0
@@ -385,14 +388,14 @@ class TestEvaluate:
     def test_report_written_and_parseable(self, flow):
         assert run(flow, "generate", "--task", "headline", "--style", "s0") == 0
         assert run(flow, "evaluate", "--task", "headline", "--style", "s0") == 0
-        report = mx.read_report(flow / "reports/headline.s0.report.txt")
+        report = mx.read_report(flow / "reports/headline.s0.report.json")
         assert 0.0 <= report.r1 <= 1.0
         assert set(report.marker) == set(sd.STYLES)
 
     def test_outputs_flag_writes_the_report_beside_the_outputs(self, flow, tmp_path, capsys):
         assert run(flow, "generate", "--task", "headline", "--style", "s1") == 0
         assert run(flow, "evaluate", "--task", "headline", "--style", "s1") == 0
-        workdir_report = flow / "reports/headline.s1.report.txt"
+        workdir_report = flow / "reports/headline.s1.report.json"
         written = workdir_report.read_bytes()
         other = tmp_path / "other.out"  # the references themselves, which score r1 1.0
         shutil.copy(flow / "data/task_headline.test.tgt", other)
@@ -400,8 +403,8 @@ class TestEvaluate:
         assert run(flow, "evaluate", "--task", "headline", "--style", "s1",
                    "--outputs", str(other)) == 0
         assert workdir_report.read_bytes() == written
-        assert mx.read_report(tmp_path / "other.report.txt").r1 == 1.0
-        assert capsys.readouterr().out.endswith(f" -> {tmp_path / 'other.report.txt'}\n")
+        assert mx.read_report(tmp_path / "other.report.json").r1 == 1.0
+        assert capsys.readouterr().out.endswith(f" -> {tmp_path / 'other.report.json'}\n")
 
 
 class TestModuleEntryPoint:
@@ -673,10 +676,10 @@ class TestPipelineMicro:
         assert sorted(loads.read_text().split()) == (["base_headline.enc.ckpt"] * 5
                                                      + ["base_init.ckpt"] * 5)
         for style in ("s0", "s1", "s2", "s3"):
-            assert (ws / f"reports/headline.{style}.report.txt").exists()
+            assert (ws / f"reports/headline.{style}.report.json").exists()
         assert (ws / "config.txt").exists()
         # a standalone evaluate loads its own embeddings and writes the same report
-        report = ws / "reports/headline.s1.report.txt"
+        report = ws / "reports/headline.s1.report.json"
         written = report.read_bytes()
         report.unlink()
         assert run(ws, "evaluate", "--task", "headline", "--style", "s1") == 0
@@ -771,7 +774,7 @@ class TestPipelineMicro:
         adapters = mdl.fresh_adapters(model.config, "s0", seed=12345)
         out, scores = tmp_path / "nos0.out", tmp_path / "nos0.scores"
         dec.generate_batch(model, adapters, ws / "data/task_headline.test.src", out,
-                           micro_config().decode, sd.Vocab(), scores_file=scores)
+                           micro_config().decode, sd.Vocab())
         assert out.read_bytes() == (cell / "outputs/headline.s0.out").read_bytes()
         assert scores.read_bytes() == (cell / "outputs/headline.s0.scores").read_bytes()
 
@@ -784,7 +787,7 @@ class TestPipelineMicro:
                     f"logs/step2.headline.{sel}.jsonl",
                     *(f"outputs/headline.{style}.{ext}" for ext in ("out", "scores")
                       for style in styles),
-                    *(f"reports/headline.{style}.report.txt" for style in styles)}
+                    *(f"reports/headline.{style}.report.json" for style in styles)}
 
         cells = [f"{mode}/{sel}" for mode in training.MODES for sel in mdl.SELECTORS]
         for name in cells[1:] + ["no-s0/enc"]:
@@ -807,7 +810,7 @@ class TestPipelineMicro:
         assert {rel: after.get(rel) for rel in pipeline} == pipeline
         row, = [line.split() for line in (ws / "reports/ablation_headline.txt").read_text()
                 .splitlines() if line.startswith("inverse-para/enc ")]
-        report = {s: mx.read_report(piped / f"reports/headline.{s}.report.txt")
+        report = {s: mx.read_report(piped / f"reports/headline.{s}.report.json")
                   for s in ("s0", "s1", "s2", "s3")}
         assert row[1:] == [f"{report['s0'].r1:.3f}", f"{report['s0'].rl:.3f}",
                            *(f"{report[s].marker[s]:.3f}" for s in ("s1", "s2", "s3"))]
@@ -845,4 +848,28 @@ class TestPipelineMicro:
         err = capsys.readouterr().err
         assert err == "error: ablate --task story: not one of the config's tasks (headline)\n"
         assert not list(tmp_path.rglob("*.adapter"))
+
+    @pytest.mark.parametrize("command", [
+        ["train-task"], ["generate", "--style", "s0"],
+        ["generate", "--style", "s0", "--input", "data/task_headline.test.src",
+         "--output", "story.out"],
+        ["evaluate", "--style", "s0"]])
+    def test_stage_task_outside_the_config_fails_before_any_work(self, flow, monkeypatch,
+                                                                 capsys, command):
+        monkeypatch.chdir(flow)
+        before = tree_digest(flow)
+        capsys.readouterr()
+        assert run(flow, "--set", "tasks=headline", *command, "--task", "story") == 1
+        assert capsys.readouterr().err == (
+            f"error: {command[0]} --task story: not one of the config's tasks (headline)\n")
+        assert tree_digest(flow) == before
+
+    def test_reports_embedding_metric_reads_the_task_model(self, piped):
+        vocab = sd.Vocab()
+        emb = store.load_checkpoint(piped / "models/base_headline.enc.ckpt").params["emb.tok"]
+        refs = sd.read_corpus(piped / "data/task_headline.test.tgt", vocab)
+        for style in ("s0", "s1", "s2", "s3"):
+            outputs = sd.read_corpus(piped / f"outputs/headline.{style}.out", vocab)
+            report = mx.read_report(piped / f"reports/headline.{style}.report.json")
+            assert report.bert_proxy == mx.embedding_cosine(outputs, refs, emb.data), style
 

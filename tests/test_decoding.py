@@ -3,6 +3,7 @@
 import ctypes
 import multiprocessing
 import os
+import re
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from styleswap import workers
 def fixed_table(rows):
     """Step function that ignores the prefix beyond its length."""
 
-    def step(prefixes):
+    def step(prefixes, parents):
         out = []
         for p in prefixes:
             row = np.asarray(rows[len(p) - 1], dtype=np.float64)
@@ -32,7 +33,7 @@ def fixed_table(rows):
 def coarse_table_step_fn(seed, vocab_size):
     """Table keyed by prefix whose entries are log 1/4 or log 1/2; BOS is banned."""
 
-    def step(prefixes):
+    def step(prefixes, parents):
         rows = []
         for prefix in prefixes:
             rng = np.random.default_rng([seed, *prefix])
@@ -123,11 +124,13 @@ class TestCores:
         v, t, k = int(rng.integers(3, 6)), int(rng.integers(2, 6)), int(rng.integers(1, 5))
         fn = coarse_table_step_fn(seed, v)
         calls, want_calls = [], []
-        got = dec.beam_core(lambda p: calls.append(p) or fn(p), BOS, EOS, t, k, alpha)
-        want = list_beam_core(lambda p: want_calls.append(p) or fn(p), BOS, EOS, t, k, alpha)
+        got = dec.beam_core(lambda p, r: calls.append((p, [int(i) for i in r])) or fn(p, r),
+                            BOS, EOS, t, k, alpha)
+        want = list_beam_core(lambda p, r: want_calls.append((p, r)) or fn(p, r), BOS, EOS, t, k,
+                              alpha)
         assert got[0] == want[0]
         assert got[1] == want[1]
-        assert len(calls) <= len(want_calls)
+        assert calls == want_calls[:len(calls)]  # the same prefixes and parent rows, stopping early
 
     def test_tie_at_the_cut_goes_to_the_lexicographically_smaller_parent(self):
         # after step 1 the beam holds (3,) ahead of (2,) by score; at step 2
@@ -142,7 +145,7 @@ class TestCores:
             (3, 3): [-np.inf, -5.0, -10.0, -10.0],
         }
 
-        def step(prefixes):
+        def step(prefixes, parents):
             return np.asarray([table[tuple(p[1:])] for p in prefixes])
 
         for alpha in (0.0, 1.0):
@@ -159,9 +162,9 @@ class TestCores:
         rows = [[-np.inf, np.log(0.5), np.log(0.25), np.log(0.25)]] * 8
         calls = []
 
-        def counting(prefixes):
+        def counting(prefixes, parents):
             calls.append(len(prefixes))
-            return fixed_table(rows)(prefixes)
+            return fixed_table(rows)(prefixes, parents)
 
         for alpha, want_calls in ((0.0, 1), (0.5, 2)):
             calls.clear()
@@ -228,7 +231,6 @@ class TestModelDecoding:
         assert vocab.pad not in res.tokens
         assert vocab.bos not in res.tokens
         assert vocab.eos not in res.tokens
-        assert res.style_id == "s1"
         assert np.isfinite(res.score)
 
     def test_score_is_sum_of_step_logprobs(self, tiny_setup):
@@ -240,7 +242,7 @@ class TestModelDecoding:
         step = dec.model_step_fn(model, x, vocab)
         prefix, total = [vocab.bos], 0.0
         for tok in res.tokens + [vocab.eos]:
-            row = step([prefix])[0]
+            row = step([prefix], [0])[0]
             total += row[tok]
             prefix.append(tok)
             if len(prefix) - 1 >= 8:
@@ -289,9 +291,9 @@ class TestIncrementalDecoding:
             tiled = ag.Tensor(np.repeat(enc.data, len(prefixes), axis=0))
             want = mdl.decode_logits_batch(model, tiled, None, prefixes)
             np.testing.assert_allclose(got.data, want.data[:, -3:], rtol=0, atol=1e-10)
-            assert cache.length == prefixes.shape[1]
+            assert cache.past[0][0].shape[2] == prefixes.shape[1]
 
-    def test_scorer_raises_when_the_chain_breaks(self, tiny_setup, monkeypatch):
+    def test_scorer_follows_the_parent_rows(self, tiny_setup, monkeypatch):
         vocab, model, adapters = tiny_setup
         model = float64(model, adapters)
         x = [vocab.keywords[3], vocab.keywords[4]]
@@ -306,18 +308,14 @@ class TestIncrementalDecoding:
         step, ref = dec.model_step_fn(model, x, vocab), full_prefix_step_fn(model, x, vocab)
         b, a, c, d, e = BOS, *(vocab.keywords[i] for i in (10, 11, 12, 13))
         calls = [
-            [[b]],
-            [[b, a], [b, c], [b, d]],
-            [[b, d, e], [b, a, e], [b, d, a], [b, d, e]],  # reordered, duplicated
-            [[b, d, a, c]],
+            ([[b]], [0]),
+            ([[b, a], [b, c], [b, d]], [0, 0, 0]),
+            ([[b, d, e], [b, a, e], [b, d, a], [b, d, e]], [2, 0, 2, 2]),  # reordered, duplicated
+            ([[b, d, a, c]], [2]),
         ]
-        for prefixes in calls:
-            np.testing.assert_allclose(step(prefixes), ref(prefixes), rtol=0, atol=1e-10)
-        assert widths == [1, 1, 1, 1]
-        with pytest.raises(KeyError):
-            step([[b, a, c, d, e]])  # parent [b, a, c, d] was never scored
-        with pytest.raises(KeyError):
-            step([[b, e]])  # shorter than the last call
+        for prefixes, parents in calls:
+            np.testing.assert_allclose(step(prefixes, parents), ref(prefixes, parents),
+                                       rtol=0, atol=1e-10)
         assert widths == [1, 1, 1, 1]
 
     @pytest.mark.parametrize("alpha", [0.0, 1.0])
@@ -384,14 +382,12 @@ class TestGenerateBatch:
         (tmp_path / "in.txt").write_text("\n".join(lines) + "\n")
         cfg = dec.DecodeConfig(beam_size=2, max_out_len=6)
         res1 = dec.generate_batch(model, adapters, tmp_path / "in.txt",
-                                  tmp_path / "out1.txt", cfg, vocab,
-                                  scores_file=tmp_path / "s1.txt")
+                                  tmp_path / "out1.txt", cfg, vocab)
         res2 = dec.generate_batch(model, adapters, tmp_path / "in.txt",
-                                  tmp_path / "out2.txt", cfg, vocab,
-                                  scores_file=tmp_path / "s2.txt")
+                                  tmp_path / "out2.txt", cfg, vocab)
         assert len(res1) == 3
         assert (tmp_path / "out1.txt").read_bytes() == (tmp_path / "out2.txt").read_bytes()
-        assert (tmp_path / "s1.txt").read_bytes() == (tmp_path / "s2.txt").read_bytes()
+        assert (tmp_path / "out1.scores").read_bytes() == (tmp_path / "out2.scores").read_bytes()
 
     def test_overlong_input_error(self, tiny_setup, tmp_path):
         vocab, model, adapters = tiny_setup
@@ -433,6 +429,20 @@ class TestGenerateBatch:
         assert decoded == []
         assert not (tmp_path / "out.txt").exists()
 
+    def test_missing_output_directory_is_refused_before_any_line_is_decoded(
+            self, tiny_setup, tmp_path, monkeypatch):
+        vocab, model, adapters = tiny_setup
+        (tmp_path / "in.txt").write_text("k00 k01\nk02\n")
+        decoded = []
+        monkeypatch.setattr(dec, "beam_search", lambda *a: decoded.append(a))
+        out = tmp_path / "no-such-dir" / "out.txt"
+        with pytest.raises(ValueError, match=re.escape(f"{out}: directory {out.parent} "
+                                                       "does not exist")):
+            dec.generate_batch(model, adapters, tmp_path / "in.txt", out,
+                               dec.DecodeConfig(max_out_len=4), vocab)
+        assert decoded == []
+        assert not out.parent.exists()
+
 
 def pid() -> float:
     return float(os.getpid())
@@ -459,8 +469,7 @@ class TestShards:
         monkeypatch.setattr(dec, "beam_search",
                             lambda model, adapters, x, cfg, vocab: dec.DecodeResult(x, probe()))
         return dec.generate_batch(model, adapters, tmp_path / "in.txt",
-                                  tmp_path / "out.txt", dec.DecodeConfig(max_out_len=4), vocab,
-                                  scores_file=tmp_path / "out.scores")
+                                  tmp_path / "out.txt", dec.DecodeConfig(max_out_len=4), vocab)
 
     @pytest.mark.parametrize("cpus, lines, sizes", [(1, 5, [5]), (2, 5, [2, 3]),
                                                     (3, 7, [2, 2, 3]), (4, 2, [1, 1])])

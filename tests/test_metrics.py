@@ -1,5 +1,7 @@
 """Metric oracles: hand-computed ROUGE, closed-form perplexity, marker rates."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -106,7 +108,7 @@ class TestPerplexity:
               for _ in range(1000)]
         s2 = [sd.stylize(VOCAB, sd._plain_sentence(VOCAB, rng), "s2", rng)
               for _ in range(1000)]
-        lm1 = mx.train_ngram_lm(s1[:800], order=2, k=0.1, vocab=VOCAB, tag="s1")
+        lm1 = mx.train_ngram_lm(s1[:800], order=2, k=0.1, vocab=VOCAB)
         assert mx.perplexity(lm1, s1[800:]) < mx.perplexity(lm1, s2[800:])
 
 
@@ -141,14 +143,35 @@ class TestMarkerRate:
             mx.style_marker_rate([[A]], "s9", VOCAB)
 
 
+class TestEmbeddingCosine:
+    # tokens 0-3 embed as (1, 0), (0, 1), (2, 2) and (3, 0)
+    EMB = np.array([[1.0, 0.0], [0.0, 1.0], [2.0, 2.0], [3.0, 0.0]])
+
+    def test_parallel_mean_pooled_vectors_give_one(self):
+        # [0, 1] pools to (0.5, 0.5), which points where token 2 does
+        assert mx.embedding_cosine([[0, 1]], [[2]], self.EMB) == pytest.approx(1.0, abs=1e-15)
+
+    def test_orthogonal_vectors_give_zero(self):
+        assert mx.embedding_cosine([[0, 3]], [[1]], self.EMB) == 0.0
+
+    def test_empty_line_gives_zero(self):
+        assert mx.embedding_cosine([[]], [[0]], self.EMB) == 0.0
+        assert mx.embedding_cosine([[0]], [[]], self.EMB) == 0.0
+
+    def test_result_is_the_mean_over_pairs(self):
+        # cosines 1, 0, 0 (empty) and 1 / sqrt 2
+        got = mx.embedding_cosine([[0, 1], [0], [], [0]], [[2], [1], [0], [2]], self.EMB)
+        assert got == pytest.approx((1.0 + 0.0 + 0.0 + 2 ** -0.5) / 4, abs=1e-15)
+
+
 def build_lms(rng):
     plain = [sd._plain_sentence(VOCAB, rng) for _ in range(300)]
-    plain_lm = mx.train_ngram_lm(plain, 2, 0.1, VOCAB, tag="plain")
+    plain_lm = mx.train_ngram_lm(plain, 2, 0.1, VOCAB)
     style_lms = {}
     for style in sd.STYLES:
         styled = [sd.stylize(VOCAB, sd._plain_sentence(VOCAB, rng), style, rng)
                   for _ in range(300)]
-        style_lms[style] = mx.train_ngram_lm(styled, 2, 0.1, VOCAB, tag=style)
+        style_lms[style] = mx.train_ngram_lm(styled, 2, 0.1, VOCAB)
     return plain_lm, style_lms
 
 
@@ -196,15 +219,33 @@ class TestEvaluateRun:
         outs = [sd._plain_sentence(VOCAB, rng) for _ in range(10)]
         refs = [sd._plain_sentence(VOCAB, rng) for _ in range(10)]
         emb = rng.normal(size=(len(VOCAB), 8))
-        report = mx.evaluate_run(outs, refs, plain_lm, style_lms, VOCAB, embeddings=emb)
-        mx.write_report(report, tmp_path / "r.txt")
-        back = mx.read_report(tmp_path / "r.txt")
-        assert back == report
+        for embeddings in (emb, None):  # None leaves bert_proxy None
+            report = mx.evaluate_run(outs, refs, plain_lm, style_lms, VOCAB, embeddings=embeddings)
+            assert (report.bert_proxy is None) == (embeddings is None)
+            mx.write_report(report, tmp_path / "r.json")
+            back = mx.read_report(tmp_path / "r.json")
+            assert back == report
 
     def test_report_key_names(self, tmp_path):
         report = mx.MetricsReport(r1=0.5, r2=0.25, rl=0.5, ppl=12.0,
                                   ppl_s={"s1": 3.0}, marker={"s1": 0.9})
-        mx.write_report(report, tmp_path / "r.txt")
-        text = (tmp_path / "r.txt").read_text()
-        for key in ("r1=", "r2=", "rl=", "ppl=", "ppl_s.s1=", "marker.s1="):
-            assert key in text
+        mx.write_report(report, tmp_path / "r.json")
+        assert json.loads((tmp_path / "r.json").read_text()) == {
+            "r1": 0.5, "r2": 0.25, "rl": 0.5, "ppl": 12.0, "ppl_s": {"s1": 3.0},
+            "marker": {"s1": 0.9}, "bert_proxy": None}
+
+    GOOD = {"r1": 0.5, "r2": 0.25, "rl": 0.5, "ppl": 12.0, "ppl_s": {}, "marker": {},
+            "bert_proxy": None}
+
+    @pytest.mark.parametrize("text, problem", [
+        ("r1=0.5\nr2=0.25\n", "not a JSON object"),  # the former key=value format
+        ("[0.5, 0.25]", "not a JSON object"),
+        (json.dumps({**GOOD, "bleu": 0.1, "zz": 0.0}), "unknown report key 'bleu'"),
+        (json.dumps({k: v for k, v in GOOD.items() if k != "r1"}), "missing report key 'r1'"),
+    ])
+    def test_malformed_report_is_one_value_error(self, tmp_path, text, problem):
+        path = tmp_path / "r.json"
+        path.write_text(text)
+        with pytest.raises(ValueError) as exc:
+            mx.read_report(path)
+        assert str(exc.value) == f"{path}: {problem}"

@@ -61,7 +61,7 @@ class TestFloat32Guards:
         arrays = [a for pair in cache.cross + cache.past for a in pair]
         assert [a.dtype for a in arrays if a.dtype != np.float32] == []
         step = dec.model_step_fn(model, list(src[0]), VOCAB)
-        assert step([[VOCAB.bos], [VOCAB.bos]]).dtype == np.float32
+        assert step([[VOCAB.bos], [VOCAB.bos]], [0, 0]).dtype == np.float32
 
 
 class TestFloat32AgainstFloat64:
