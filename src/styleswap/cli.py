@@ -25,7 +25,11 @@ suffix `.report.json`. A `--task` outside the config's tasks is refused
 before any work.
 
 A workdir and its `config.txt` are a run's only identity: `pipeline` and
-`ablate` refuse a workdir whose `config.txt` holds other settings. The
+`ablate` refuse a workdir whose `config.txt` holds other settings. So do
+the commands that write into a workdir that holds a `config.txt`:
+`gen-data`, `train-adapter`, `train-task`, `generate` without `--output`
+and `evaluate` without `--outputs`. A workdir that only `gen-data` made
+holds no `config.txt`, and the stage commands take any settings there. The
 `ablate` cell of the run's own mode and trainable group is the run itself.
 Each other cell is a workdir `<workdir>/ablate/<cell>/`, named by its table
 row (such as `denoise/enc+catt` or `no-s0/enc`). It reads `data/`,
@@ -46,7 +50,9 @@ state. The workers are forked, so both commands need a platform with `fork`
 calling process decodes the first shard and forked workers the others, and
 the lines are joined in input order, so `.out` and `.scores` equal a one-CPU
 run's. It decodes in the calling process alone inside a `pipeline` or
-`ablate` worker and on a platform without `fork`.
+`ablate` worker and on a platform without `fork`. An `--output` whose
+suffix is `.scores` is refused before any line is decoded, since its
+scores would overwrite it.
 """
 
 from __future__ import annotations
@@ -150,15 +156,12 @@ def _require_data(cfg: RunConfig, ws: Workspace):
                        + ("" if rates else " or matching flags"))
 
 
-def start_run(cfg: RunConfig, ws: Workspace) -> None:
-    """Check the workdir's corpora and config.txt against cfg, then record cfg.
+def check_run(cfg: RunConfig, ws: Workspace) -> None:
+    """Refuse a workdir whose corpora or config.txt were made with other settings.
 
-    Corpora are generated if there are none. A workdir whose corpora or
-    config.txt were made with other settings is refused before anything is
-    written, the corpora checked first.
+    Either is checked only if it exists, the corpora first.
     """
-    have_data = (ws.data / "manifest.json").exists()
-    if have_data:
+    if (ws.data / "manifest.json").exists():
         _require_data(cfg, ws)
     path = ws.root / "config.txt"
     if path.exists():
@@ -170,9 +173,14 @@ def start_run(cfg: RunConfig, ws: Workspace) -> None:
         if differ:
             raise CliError(f"{path} was written with different settings: {', '.join(differ)}; "
                            "use a fresh workdir or matching flags")
-    if not have_data:
+
+
+def start_run(cfg: RunConfig, ws: Workspace) -> None:
+    """`check_run`, then generate corpora if there are none and record cfg."""
+    check_run(cfg, ws)
+    if not (ws.data / "manifest.json").exists():
         cmd_gen_data(cfg, ws)
-    save_config(cfg, path)
+    save_config(cfg, ws.root / "config.txt")
 
 
 def load_model(cfg: RunConfig, path: Path) -> mdl.Model:
@@ -649,12 +657,23 @@ def _resolve_config(args) -> RunConfig:
     return from_items(items)
 
 
+def _writes_run_files(args) -> bool:
+    """Whether the command writes into the workdir's own artifact tree."""
+    if args.command == "generate":
+        return args.output is None
+    if args.command == "evaluate":
+        return args.outputs is None
+    return args.command in ("gen-data", "train-adapter", "train-task")
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
         cfg = _resolve_config(args)
         ws = Workspace(args.workdir)
+        if _writes_run_files(args) and (ws.root / "config.txt").exists():
+            check_run(cfg, ws)
         if args.command == "gen-data":
             return cmd_gen_data(cfg, ws)
         if args.command == "train-adapter":

@@ -178,11 +178,16 @@ def generate_batch(model: Model, adapters: AdapterSet, input_file: Path,
     """Decode every input line through `adapters`; one output line per input line, in order.
 
     Each line's score goes to the same line of `output_file` with suffix
-    `.scores`. Every line, and the output directory, is checked before any
-    line is decoded. On any failure no file is written, and no worker
-    outlives the call. `max_out_len` is checked here too, since a checkpoint
-    read from disk can carry another `max_len` than the run's config.
+    `.scores`, which must not be `output_file` itself. Every line, and the
+    output directory, is checked before any line is decoded. On any failure
+    no file is written, and no worker outlives the call. `max_out_len` is
+    checked here too, since a checkpoint read from disk can carry another
+    `max_len` than the run's config.
     """
+    scores_file = output_file.with_suffix(".scores")
+    if scores_file == output_file:
+        raise ValueError(f"{output_file}: the scores would overwrite the outputs; "
+                         "name the output file with another suffix than .scores")
     if cfg.max_out_len > model.config.max_len:
         raise ValueError(f"max_out_len={cfg.max_out_len} exceeds the model's "
                          f"max_len={model.config.max_len}")
@@ -196,7 +201,7 @@ def generate_batch(model: Model, adapters: AdapterSet, input_file: Path,
         raise ValueError(f"{output_file}: directory {output_file.parent} does not exist")
     results = _decode_in_shards(model, adapters, inputs, cfg, vocab, output_file)
     write_corpus(output_file, [r.tokens for r in results], vocab)
-    with open(output_file.with_suffix(".scores"), "w", encoding="utf-8") as fh:
+    with open(scores_file, "w", encoding="utf-8") as fh:
         for r in results:
             fh.write(f"{r.score!r}\n")
     return results

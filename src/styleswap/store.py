@@ -2,10 +2,12 @@
 
 Both formats share the same skeleton: an 8-byte magic+version, a
 length-prefixed JSON header, length-prefixed named float32 records sorted
-by name, and a trailing sha256 over everything before it. The checksum is
-verified before any parameter is exposed. Records load as writable float32
-arrays, the dtype the model trains in, so a float32 model saves and loads
-exactly, and save -> load -> save is byte-identical.
+by name, and a trailing sha256 over everything before it. A write streams
+the parts to a temporary file while one sha256 absorbs the same bytes, so
+no whole-file buffer and no copy of a float32 parameter is made. The
+checksum is verified before any parameter is exposed. Records load as
+writable float32 arrays, the dtype the model trains in, so a float32 model
+saves and loads exactly, and save -> load -> save is byte-identical.
 
 An adapter file records the lineage fingerprint of the base it was trained
 against: the checksum of the freshly built base's weights plus config,
@@ -55,27 +57,7 @@ def _canon_json(obj) -> bytes:
     return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
 
 
-def _pack_records(named: list[tuple[str, np.ndarray]]) -> bytes:
-    parts = [struct.pack("<I", len(named))]
-    for name, arr in sorted(named):
-        encoded = name.encode()
-        parts.append(struct.pack("<H", len(encoded)))
-        parts.append(encoded)
-        parts.append(struct.pack("<BB", 0, arr.ndim))  # dtype tag 0 = float32
-        parts.append(struct.pack(f"<{arr.ndim}I", *arr.shape))
-        parts.append(arr.astype("<f4").tobytes())
-    return b"".join(parts)
-
-
 def _write(path: Path, magic: bytes, header: dict, named) -> None:
-    body = bytearray()
-    body += magic
-    body += struct.pack("<I", FORMAT_VERSION)
-    header_bytes = _canon_json(header)
-    body += struct.pack("<I", len(header_bytes))
-    body += header_bytes
-    body += _pack_records(named)
-    body += hashlib.sha256(bytes(body)).digest()
     # a temporary file in the target's directory, then one rename: a reader
     # sees the old file or the whole new one, never a partial write. The
     # name is the writer's own, so that processes writing one target never
@@ -85,8 +67,24 @@ def _write(path: Path, magic: bytes, header: dict, named) -> None:
     # whenever no command is writing.
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    checksum = hashlib.sha256()
     try:
-        tmp.write_bytes(body)
+        with open(tmp, "wb") as fh:
+            def put(chunk) -> None:
+                checksum.update(chunk)
+                fh.write(chunk)
+
+            header_bytes = _canon_json(header)
+            put(magic + struct.pack("<II", FORMAT_VERSION, len(header_bytes)) + header_bytes)
+            put(struct.pack("<I", len(named)))
+            for name, arr in sorted(named):
+                encoded = name.encode()
+                # dtype tag 0 = float32
+                put(struct.pack(f"<H{len(encoded)}sBB{arr.ndim}I", len(encoded), encoded,
+                                0, arr.ndim, *arr.shape))
+                # the parameter's own buffer when it is already little-endian float32
+                put(memoryview(np.ascontiguousarray(arr, dtype="<f4")).cast("B"))
+            fh.write(checksum.digest())
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

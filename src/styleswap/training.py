@@ -9,6 +9,12 @@ Stage 3 is pure inference and lives in decoding.
 Freezing is enforced structurally: only the stage's trainable tensors have
 requires_grad set, so frozen parameters never receive gradients and are
 byte-identical afterwards. Batch order is fixed by the stage seed.
+
+A training step holds one graph at a time. Its loss, and with it every
+op's saved arrays, is dropped once the loss value is logged, and the
+trainable gradients are cleared right after the optimizer step. So the
+next step's forward starts with no graph and no gradient alive; what
+outlives a step is the parameters and the optimizer's moment buffers.
 """
 
 from __future__ import annotations
@@ -179,13 +185,15 @@ def train_on_pairs(model: Model, vocab: Vocab, group: str, splits: "PairSplits",
                 if not np.isfinite(loss.data):
                     raise NonFiniteLoss(f"loss is {loss.item()} at step {step + 1} "
                                         f"(epoch {epoch + 1}) training {group!r}")
-                opt.zero_grad()
                 ag.backward(loss)
                 opt.step()
+                opt.zero_grad()
                 step += 1
-                result.losses.append(loss.item())
+                value = loss.item()
+                del loss  # the step's graph: every op's saved arrays
+                result.losses.append(value)
                 if log:
-                    log.write(json.dumps({"step": step, "loss": loss.item(),
+                    log.write(json.dumps({"step": step, "loss": value,
                                           "lr": hp.lr}) + "\n")
             result.epochs_run = epoch + 1
             if splits.valid:

@@ -376,6 +376,16 @@ class TestGenerate:
             "vs 8 (config); use a fresh workdir or matching flags\n")
         assert tree_digest(flow) == before  # no output, scores, report or log
 
+    def test_output_named_like_its_scores_is_refused(self, flow, capsys):
+        out = flow / "outputs/headline.s1.scores"
+        before = tree_digest(flow)
+        assert run(flow, "generate", "--task", "headline", "--style", "s1",
+                   "--output", str(out)) == 1
+        assert capsys.readouterr().err == (
+            f"error: {out}: the scores would overwrite the outputs; "
+            "name the output file with another suffix than .scores\n")
+        assert tree_digest(flow) == before
+
     def test_rerun_bit_identical(self, flow):
         out = flow / "outputs/headline.s1.out"
         assert run(flow, "generate", "--task", "headline", "--style", "s1") == 0
@@ -841,6 +851,33 @@ class TestPipelineMicro:
             f"error: {ws}/config.txt does not parse (unknown config keys: ['preset']); "
             "use a fresh workdir\n")
         assert tree_digest(ws) == before
+
+    @pytest.mark.parametrize("command", [
+        ["gen-data"], ["train-adapter", "--style", "s1"], ["train-task", "--task", "headline"],
+        ["generate", "--task", "headline", "--style", "s1"],
+        ["evaluate", "--task", "headline", "--style", "s1"]])
+    def test_stage_commands_in_a_run_workdir_refuse_other_settings(self, piped, tmp_path,
+                                                                   capsys, command):
+        ws = tmp_path / "w"
+        shutil.copytree(piped, ws)
+        before = tree_digest(ws)
+        assert run(ws, "--set", "lr=0.002", *command) == 1
+        assert capsys.readouterr().err == (
+            f"error: {ws}/config.txt was written with different settings: lr 0.001 (workdir) "
+            "vs 0.002 (config); use a fresh workdir or matching flags\n")
+        assert tree_digest(ws) == before
+
+    def test_stage_commands_writing_outside_a_run_workdir_take_other_settings(self, piped,
+                                                                              tmp_path):
+        ws, out = tmp_path / "w", tmp_path / "beam2.out"
+        shutil.copytree(piped, ws)
+        before = tree_digest(ws)
+        assert run(ws, "generate", "--task", "headline", "--style", "s1", "--beam", "2",
+                   "--output", str(out)) == 0
+        assert run(ws, "--set", "beam_size=2", "evaluate", "--task", "headline",
+                   "--style", "s1", "--outputs", str(out)) == 0
+        assert tree_digest(ws) == before
+        assert (tmp_path / "beam2.report.json").exists()
 
     def test_ablate_task_outside_the_config_fails_before_training(self, tmp_path, capsys):
         ws = tmp_path / "abl"

@@ -97,20 +97,41 @@ class TestCheckpoint:
         store.save_checkpoint(mdl.build_model(small_config(seed=1)), path)
         before = path.read_bytes()
 
-        def half_write(self, data):
-            with open(self, "wb") as fh:
-                fh.write(data[: len(data) // 2])
-            raise OSError("No space left on device")
+        stopped_at = []
+
+        class HalfFullDisk:
+            """A file that takes half of a checkpoint's bytes, then reports a full disk."""
+
+            def __init__(self, file, mode):
+                self.fh = open(file, mode)
+                self.room = len(before) // 2
+
+            def write(self, chunk):
+                chunk = memoryview(chunk).cast("B")
+                self.fh.write(chunk[: self.room])
+                if len(chunk) > self.room:
+                    stopped_at.append(self.fh.tell())
+                    raise OSError("No space left on device")
+                self.room -= len(chunk)
+                return len(chunk)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
 
         def no_rename(src, dst):
             raise OSError("rename failed")
 
         if fail_at == "write":
-            monkeypatch.setattr(type(path), "write_bytes", half_write)
+            # the streamed write opens its temporary file with the builtin open
+            monkeypatch.setattr(store, "open", HalfFullDisk, raising=False)
         else:
             monkeypatch.setattr(store.os, "replace", no_rename)
         with pytest.raises(OSError):
             store.save_checkpoint(mdl.build_model(small_config(seed=2)), path)
+        assert stopped_at == ([len(before) // 2] if fail_at == "write" else [])
         assert path.read_bytes() == before
         assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
 

@@ -1,6 +1,7 @@
 """Optimizer oracle tests and mini-scale stage contracts (freeze, determinism)."""
 
 import hashlib
+import weakref
 
 import numpy as np
 import pytest
@@ -151,6 +152,29 @@ class TestStage2:
         model = mdl.build_model(mini_config())
         count = lambda sel: sum(t.size for _, t in mdl.param_group(model, sel))
         assert count("enc") < count("enc+catt") < count("enc+catt+dec")
+
+
+class TestStepMemory:
+    def test_next_forward_starts_without_the_last_step(self, mini_data, monkeypatch):
+        model = mdl.build_model(mini_config())
+        splits = tr.load_style_pairs(mini_data, "s1", "inverse-para", VOCAB, 40)
+        forward = tr.batch_loss
+        losses, at_forward = [], []
+
+        def watched(*args):
+            trainable = [t for _, t in model.named_parameters() if t.requires_grad]
+            at_forward.append((sum(ref() is not None for ref in losses),
+                               sum(t.grad is not None for t in trainable)))
+            loss = forward(*args)
+            # a Tensor takes no weak reference; nothing but the loss holds its array
+            losses.append(weakref.ref(loss.data))
+            return loss
+
+        monkeypatch.setattr(tr, "batch_loss", watched)
+        tr.train_style_adapter(model, VOCAB, "s1", "inverse-para", splits,
+                               tr.Hyper(epochs=2, batch_size=16))
+        assert len(at_forward) > 2
+        assert at_forward == [(0, 0)] * len(at_forward)  # (live losses, trainable grads)
 
 
 class TestDeterminism:
