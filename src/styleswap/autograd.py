@@ -20,7 +20,10 @@ The elementary ops (`add`, `mul`, `matmul`, `relu`, `transpose`, `tsum`,
 `embedding`, `layer_norm`, `softmax`) are the reference ops: tier-1 tests
 gradcheck them, and tests/helpers.py writes the model's forward in them as
 the oracle that the fused path must match, in logits and bit for bit in
-every gradient. Three rules keep the bits identical:
+every gradient. Both paths share the layer-norm and softmax helpers, so the
+finite-difference audit of the fused ops and of a decoder-step loss, in
+tests/test_gradcheck.py, is what checks those helpers. Three rules keep the
+bits identical:
 
 - Same layouts. Each backward evaluates the chain's expressions on operands
   of the same memory layout: numpy's matmul leaves BLAS for a slower loop on
@@ -67,7 +70,6 @@ __all__ = [
     "scaled_embedding",
     "tied_logits",
     "backward",
-    "relu_inputs",
     "grad_check",
 ]
 
@@ -117,13 +119,6 @@ class Tensor:
     @property
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
-
-    @property
-    def size(self) -> int:
-        return self.data.size
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def item(self) -> float:
         return float(self.data)
@@ -584,25 +579,6 @@ def backward(loss: Tensor) -> None:
                 flowing[id(parent)] = np.array(pg) if (pg is g or pg.ndim == 0) else pg
             else:
                 acc += pg
-
-
-def relu_inputs(loss: Tensor, ln_eps: float) -> list[np.ndarray]:
-    """The relu inputs of the `ffn` and `adapter` nodes on loss's tape, in creation order.
-
-    The tape holds only the nodes downstream of a tensor that requires
-    grad: a superset of the relus whose inputs that tensor can move.
-    `ln_eps` is the adapters' layer-norm epsilon.
-    """
-    pres = []
-    for node in reversed(_tape(loss)):
-        if node._op == "ffn" and node._parents:
-            x, w1, b1 = (t.data for t in node._parents[:3])
-            pres.append(x.reshape(-1, w1.shape[0]) @ w1 + b1)
-        elif node._op == "adapter" and node._parents:
-            z, ln_g, ln_b, w_down = (t.data for t in node._parents[:4])
-            zn = _ln_forward(z, ln_g, ln_b, ln_eps)[0]
-            pres.append(zn.reshape(-1, w_down.shape[0]) @ w_down)
-    return pres
 
 
 def grad_check(f: Callable[[Tensor], Tensor], w: Tensor, eps: float = 1e-5) -> float:

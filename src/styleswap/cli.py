@@ -8,7 +8,6 @@ Subcommands:
   generate       decode the task test set through <style>.<mode>
   evaluate       score one generation run into a JSON report
   pipeline       end to end: data, all adapters, all tasks, generate, evaluate
-  gradcheck      finite-difference audit of the fused ops and a decoder-step loss
   ablate         pretraining-mode x trainable-group grid plus the no-s0 cell
 
 `python -m styleswap pipeline` runs the default experiment in one command,
@@ -22,7 +21,8 @@ override `--set`.
 Each stage-1, stage-2, generate and evaluate line ends with `-> <path>`,
 the file it wrote; `evaluate --outputs X` writes its report to X with
 suffix `.report.json`. A `--task` outside the config's tasks is refused
-before any work.
+before any work, and an adapter file is refused unless it holds the style
+and mode it is loaded as.
 
 A workdir and its `config.txt` are a run's only identity: `pipeline` and
 `ablate` refuse a workdir whose `config.txt` holds other settings. So do
@@ -68,7 +68,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import autograd as ag
 from . import decoding as dec
 from . import metrics as mx
 from . import model as mdl
@@ -224,7 +223,11 @@ def stage_adapters(cfg: RunConfig, ws: Workspace, model: mdl.Model, style: str,
     path = ws.adapter_path(style, cfg.mode)
     if not path.exists():
         raise CliError(f"{path} missing; run train-adapter --style {style} first")
-    return store.load_adapter(path, model)
+    adapters = store.load_adapter(path, model)
+    if (adapters.style_id, adapters.mode) != (style, cfg.mode):
+        raise CliError(f"{path} holds the {adapters.style_id}.{adapters.mode} adapter, "
+                       f"not {style}.{cfg.mode}")
+    return adapters
 
 
 # ---------------------------------------------------------------------------
@@ -444,164 +447,6 @@ def cmd_ablate(cfg: RunConfig, ws: Workspace, task: str) -> int:
 
 
 # ---------------------------------------------------------------------------
-# gradcheck
-
-
-def _fused_op_checks(rng: np.random.Generator) -> float:
-    """grad_check of every fused op against each input it differentiates."""
-    bsz, length, h, heads, f, b, v = 2, 3, 4, 2, 5, 3, 6
-
-    def t(*shape, low=-1.0, high=1.0):
-        return ag.Tensor(rng.uniform(low, high, size=shape))
-
-    x, sub, heads_in = t(bsz, length, h), t(bsz, length, h), t(bsz, heads, length, h // heads)
-    causal = mdl.causal_attention_mask(length)
-    ids, positions = rng.integers(0, v, size=(bsz, length)), t(length, h).data
-    ops = {
-        "project_heads": (lambda *a: ag.project_heads(*a, heads), [x, t(h, h), t(h)]),
-        "attention": (lambda *a: ag.attention(*a, causal),
-                      [heads_in, t(bsz, heads, length, h // heads),
-                       t(bsz, heads, length, h // heads)]),
-        "merge_heads": (ag.merge_heads, [heads_in, t(h, h), t(h)]),
-        "ffn": (ag.ffn, [x, t(h, f), t(f), t(f, h), t(h)]),
-        "residual_ln": (lambda *a: ag.residual_layer_norm(*a, 1e-5),
-                        [x, sub, t(h, low=0.5, high=1.5), t(h)]),
-        "adapter": (lambda *a: ag.adapter(*a, 1e-5),
-                    [x, t(h, low=0.5, high=1.5), t(h), t(h, b), t(b, h)]),
-        "scaled_embed": (lambda w: ag.scaled_embedding(w, ids, h ** 0.5, positions), [t(v, h)]),
-        "tied_logits": (ag.tied_logits, [x, t(v, h)]),
-    }
-    worst = 0.0
-    for name, (op, args) in ops.items():
-        mix = t(*op(*args).shape)
-        for i, arg in enumerate(args):
-            def loss(probe, i=i):
-                return ag.tsum(ag.mul(op(*args[:i], probe, *args[i + 1:]), mix))
-
-            err = ag.grad_check(loss, arg)
-            print(f"gradcheck: fused {name:13s} input {i} max_rel_err {err:.3e}")
-            worst = max(worst, err)
-    return worst
-
-
-# One whole tensor of each adapter kind and of each base group (enc, dec-self,
-# dec-catt, dec-other); enc.0.self.wq is a matmul weight.
-_DECODER_STEP_TENSORS = ("adapter.0.ln_g", "adapter.1.ln_b", "adapter.0.w_down",
-                         "adapter.1.w_up", "enc.0.self.wq", "dec.1.ln1.g",
-                         "dec.0.catt.bv", "dec.1.ffn.b1")
-_GRAD_CHECK_STEP = 1e-5  # ag.grad_check's default central-difference step
-_MAX_DRAWS = 100
-
-
-def _decoder_step_instance(rng: np.random.Generator):
-    """A tiny float64 model with s1 adapters of non-zero up-projection, and one batch.
-
-    float64, because grad_check's central differences need it: the built
-    float32 parameters are widened.
-    """
-    vocab = Vocab()
-    cfg = mdl.ModelConfig(vocab_size=len(vocab), d_model=8, n_heads=2, d_ffn=12,
-                          n_enc_layers=1, n_dec_layers=2, adapter_bottleneck=2,
-                          max_len=8, seed=int(rng.integers(0, 2**31)))
-    built = mdl.build_model(cfg)
-    model = mdl.model_from_arrays(cfg, {n: t.data.astype(np.float64)
-                                        for n, t in built.params.items()}, built.base_id)
-    adapters = mdl.fresh_adapters(cfg, "s1", seed=int(rng.integers(0, 2**31)))
-    for _, t in adapters.named():
-        t.data = t.data.astype(np.float64)
-    for layer in adapters.layers:
-        layer["w_up"].data[:] = rng.normal(0, 0.3, size=layer["w_up"].shape)
-    mdl.swap_adapters(model, adapters)
-    for _, t in model.named_parameters():
-        t.requires_grad = False
-    src = rng.integers(4, len(vocab), size=(2, 5))
-    dec_in = rng.integers(4, len(vocab), size=(2, 4))
-    dec_tgt = rng.integers(4, len(vocab), size=(2, 4))
-    return model, src, dec_in, dec_tgt
-
-
-def _probed_loss(instance, name: str):
-    """(loss of the instance as a function of tensor `name`, that tensor's value)."""
-    model, src, dec_in, dec_tgt = instance
-    if name.startswith("adapter."):
-        _, i, key = name.split(".")
-        slots = model.adapters.layers[int(i)]
-    else:
-        slots, key = model.params, name
-    original = slots[key]
-
-    def loss(probe: ag.Tensor) -> ag.Tensor:
-        slots[key] = probe
-        try:
-            enc = mdl.encode_batch(model, src, None)
-            logits = mdl.decode_logits_batch(model, enc, None, dec_in)
-            return ag.cross_entropy(ag.reshape(logits, (dec_tgt.size, logits.shape[-1])),
-                                    dec_tgt.ravel(), ignore_id=-1)
-        finally:
-            slots[key] = original
-
-    return loss, original
-
-
-def _probes_cross_a_kink(instance) -> bool:
-    """Whether some grad_check probe flips the sign of some relu input.
-
-    A central difference across a relu kink measures neither side's slope,
-    so grad_check would report an error the gradient does not have.
-    """
-    ln_eps = instance[0].config.ln_eps
-    for name in _DECODER_STEP_TENSORS:
-        loss, original = _probed_loss(instance, name)
-        probe = ag.Tensor(original.data.copy(), requires_grad=True)
-        signs = [pre > 0 for pre in ag.relu_inputs(loss(probe), ln_eps)]
-        flat = probe.data.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            for step in (_GRAD_CHECK_STEP, -_GRAD_CHECK_STEP):
-                flat[i] = orig + step
-                moved = ag.relu_inputs(loss(probe), ln_eps)
-                flat[i] = orig
-                if not all(np.array_equal(pre > 0, s) for pre, s in zip(moved, signs)):
-                    return True
-    return False
-
-
-def _decoder_step_check(rng: np.random.Generator) -> float:
-    """grad_check of a full decoder-step loss with respect to whole parameter tensors.
-
-    Instances are drawn from rng until no probe crosses a relu kink, so the
-    outcome depends on the gradients alone.
-    """
-    for _ in range(_MAX_DRAWS):
-        instance = _decoder_step_instance(rng)
-        if not _probes_cross_a_kink(instance):
-            break
-    else:
-        raise CliError(f"gradcheck: no kink-free instance in {_MAX_DRAWS} draws")
-    worst = 0.0
-    for name in _DECODER_STEP_TENSORS:
-        loss, original = _probed_loss(instance, name)
-        err = ag.grad_check(loss, original, _GRAD_CHECK_STEP)
-        print(f"gradcheck: decoder-step {name:16s} max_rel_err {err:.3e}")
-        worst = max(worst, err)
-    return worst
-
-
-def run_gradcheck(seed: int = 0) -> float:
-    rng = np.random.default_rng(child_seed(seed, "gradcheck"))
-    return max(_fused_op_checks(rng), _decoder_step_check(rng))
-
-
-def cmd_gradcheck(cfg: RunConfig) -> int:
-    started = time.time()
-    worst = run_gradcheck(cfg.seed)
-    ok = worst < 1e-4
-    print(f"gradcheck: overall max_rel_err {worst:.3e} "
-          f"({time.time() - started:.1f}s): {'PASS' if ok else 'FAIL'}")
-    return 0 if ok else 1
-
-
-# ---------------------------------------------------------------------------
 # argument plumbing
 
 
@@ -637,7 +482,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--style", required=True, choices=[STYLELESS, *STYLES])
     p.add_argument("--outputs", type=Path, default=None)
     sub.add_parser("pipeline")
-    sub.add_parser("gradcheck")
     p = sub.add_parser("ablate")
     p.add_argument("--task", default="headline", choices=TASKS)
     return parser
@@ -688,8 +532,6 @@ def main(argv=None) -> int:
                                 outputs_file=args.outputs)
         if args.command == "pipeline":
             return cmd_pipeline(cfg, ws)
-        if args.command == "gradcheck":
-            return cmd_gradcheck(cfg)
         if args.command == "ablate":
             return cmd_ablate(cfg, ws, args.task)
         raise CliError(f"unhandled command {args.command!r}")

@@ -109,7 +109,6 @@ class Vocab:
 class TaskPair:
     x: list[int]
     y: list[int]
-    task_kind: str
 
 
 @dataclass
@@ -168,7 +167,7 @@ def gen_task_pairs(vocab: Vocab, rng_seed: int, n: int, task_kind: str) -> list[
             y = [tok for tok in x for _ in range(2)]
         else:
             raise ValueError(f"unknown task kind: {task_kind!r}")
-        pairs.append(TaskPair(x=x, y=y, task_kind=task_kind))
+        pairs.append(TaskPair(x=x, y=y))
     return pairs
 
 

@@ -85,6 +85,9 @@ class ModelConfig:
             raise ConfigError(
                 f"d_model={self.d_model} not divisible by n_heads={self.n_heads}"
             )
+        if self.d_model % 2:
+            raise ConfigError(f"d_model must be even (positions pair sin and cos), "
+                              f"got {self.d_model}")
         if self.adapter_bottleneck < 1:
             raise ConfigError(f"adapter_bottleneck must be >= 1, got {self.adapter_bottleneck}")
 

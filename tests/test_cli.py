@@ -19,7 +19,6 @@ import numpy as np
 import pytest
 
 from helpers import usable_cpus
-from styleswap import autograd as ag
 from styleswap import cli
 from styleswap import config as rc
 from styleswap import data as sd
@@ -179,15 +178,28 @@ class TestUsage:
 
     def test_preset_flag_is_gone(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
-            cli.main(["--workdir", str(tmp_path), "--preset", "paper", "gradcheck"])
+            cli.main(["--workdir", str(tmp_path), "--preset", "paper", "gen-data"])
         assert exc.value.code == 2
+        assert not any(tmp_path.iterdir())
+
+    def test_gradcheck_command_is_gone(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--workdir", str(tmp_path), "gradcheck"])
+        assert exc.value.code == 2
+        assert not any(tmp_path.iterdir())
+
+    def test_odd_d_model_is_refused_before_any_work(self, tmp_path, capsys):
+        assert cli.main(["--workdir", str(tmp_path), "--set", "d_model=5", "--set", "n_heads=1",
+                         "gen-data"]) == 1
+        assert capsys.readouterr().err == (
+            "error: d_model must be even (positions pair sin and cos), got 5\n")
         assert not any(tmp_path.iterdir())
 
     def test_set_keys_apply_together_with_the_config_file(self, tmp_path):
         path = tmp_path / "run.cfg"
         path.write_text("d_model=30\nseed=5\n")  # valid only with the n_heads below
         args = cli._build_parser().parse_args(["--config", str(path), "--set", "n_heads=3",
-                                               "--set", "lr=5e-5", "gradcheck"])
+                                               "--set", "lr=5e-5", "gen-data"])
         cfg = cli._resolve_config(args)
         assert (cfg.model.d_model, cfg.model.n_heads) == (30, 3)
         assert (cfg.seed, cfg.train.lr) == (5, 5e-5)
@@ -331,6 +343,20 @@ class TestGenerate:
         adapter = lambda line: [f for f in line.split() if f.startswith("adapter=")][0]
         assert sha(line_s0) == sha(line_s1)
         assert adapter(line_s0) != adapter(line_s1)
+
+    @pytest.mark.parametrize("copy, flags", [
+        ("s2.inverse-para", ["--style", "s2"]),
+        ("s1.denoise", ["--style", "s1", "--mode", "denoise"])], ids=["style", "mode"])
+    def test_adapter_file_holding_another_style_or_mode_is_refused(self, flow, tmp_path,
+                                                                   capsys, copy, flags):
+        ws = tmp_path / "w"
+        shutil.copytree(flow, ws)
+        shutil.copy(ws / "adapters/s1.inverse-para.adapter", ws / f"adapters/{copy}.adapter")
+        before = tree_digest(ws)
+        assert run(ws, "generate", "--task", "headline", *flags) == 1
+        assert capsys.readouterr().err == (f"error: {ws}/adapters/{copy}.adapter holds the "
+                                           f"s1.inverse-para adapter, not {copy}\n")
+        assert tree_digest(ws) == before
 
     def test_outputs_align_with_inputs(self, flow):
         n_inputs = len((flow / "data/task_headline.test.src").read_text().splitlines())
@@ -612,56 +638,6 @@ class TestShardedGenerate:
         assert self.generate(flow, src, out) == 0
         assert (out.read_bytes(), out.with_suffix(".scores").read_bytes(),
                 capsys.readouterr()) == forked
-
-
-class TestGradcheck:
-    def test_exits_zero_under_threshold(self, capsys):
-        assert cli.main(["gradcheck"]) == 0
-        out = capsys.readouterr().out
-        assert "PASS" in out
-        assert "gradcheck: op " not in out
-        fused = [line.split()[2:5] for line in out.splitlines()
-                 if line.startswith("gradcheck: fused ")]
-        inputs = {"project_heads": 3, "attention": 3, "merge_heads": 3, "ffn": 5,
-                  "residual_ln": 4, "adapter": 5, "scaled_embed": 1, "tied_logits": 2}
-        assert fused == [[op, "input", str(i)] for op, n in inputs.items() for i in range(n)]
-
-    def test_instance_with_a_planted_kink_is_redrawn(self, monkeypatch, capsys):
-        planted = cli._decoder_step_instance(np.random.default_rng(0))
-        loss, b1 = cli._probed_loss(planted, "dec.1.ffn.b1")
-        # the tape downstream of b1 holds dec.1.ffn, then adapter 1
-        probe = ag.Tensor(b1.data.copy(), requires_grad=True)
-        pre = ag.relu_inputs(loss(probe), planted[0].config.ln_eps)[0]
-        b1.data[0] -= pre[0, 0] - 3e-6  # a relu input within one probe step of zero
-        assert cli._probes_cross_a_kink(planted)
-        assert ag.grad_check(loss, b1) > 1e-4  # the kink alone fails a correct gradient
-        draws = iter([planted])
-        draw = cli._decoder_step_instance
-        monkeypatch.setattr(cli, "_decoder_step_instance", lambda rng: next(draws, None) or draw(rng))
-        assert cli._decoder_step_check(np.random.default_rng(0)) < 1e-4
-        assert next(draws, None) is None
-
-    def test_planted_layer_norm_gain_error_fails(self, monkeypatch, capsys):
-        residual_ln = ag.residual_layer_norm
-
-        def skewed(*args):
-            out = residual_ln(*args)
-            if out._bwd is not None:
-                bwd = out._bwd
-
-                def gain_off_by_a_thousandth(g):
-                    gx, gsub, ggain, gbias = bwd(g)
-                    return gx, gsub, None if ggain is None else ggain * 1.001, gbias
-
-                out._bwd = gain_off_by_a_thousandth
-            return out
-
-        monkeypatch.setattr(ag, "residual_layer_norm", skewed)
-        assert cli.main(["gradcheck"]) == 1
-        out = capsys.readouterr().out
-        line, = [x for x in out.splitlines() if x.startswith("gradcheck: decoder-step dec.1.ln1.g")]
-        assert float(line.split()[-1]) > 9e-4
-        assert out.splitlines()[-1].endswith("FAIL")
 
 
 class TestPipelineMicro:

@@ -91,8 +91,8 @@ def _residual_graph(x, sub, gain, bias, make_residual):
     w = ag.Tensor(np.linspace(-1.0, 1.0, x.shape[-1]))
     side = ag.mul(x, w)
     out = make_residual(x, sub, gain, bias)
-    loss = ag.add(ag.tsum(ag.mul(out, ag.Tensor(np.cos(np.arange(out.size)).reshape(out.shape)))),
-                  ag.tsum(ag.mul(side, side)))
+    mix = ag.Tensor(np.cos(np.arange(out.data.size)).reshape(out.shape))
+    loss = ag.add(ag.tsum(ag.mul(out, mix)), ag.tsum(ag.mul(side, side)))
     ag.backward(loss)
 
 
@@ -122,30 +122,3 @@ class TestResidualGradients:
             grads.append([t.grad for t in leaves])
         for fused, oracle in zip(*grads):
             assert np.array_equal(fused, oracle)
-
-
-class TestReluInputs:
-    def test_ffn_and_adapter_relu_inputs_in_creation_order(self):
-        rng = np.random.default_rng(4)
-        t = lambda *shape: ag.Tensor(rng.normal(size=shape))
-        x, w1, b1, w2, b2 = t(2, 3, 4), t(4, 5), t(5), t(5, 4), t(4)
-        g, b, w_down, w_up = t(4), t(4), t(4, 2), t(2, 4)
-        w1.requires_grad = True
-        y = ag.adapter(ag.ffn(x, w1, b1, w2, b2), g, b, w_down, w_up, 1e-5)
-        ffn_pre, adapter_pre = ag.relu_inputs(ag.tsum(y), 1e-5)
-        np.testing.assert_array_equal(ffn_pre, x.data.reshape(6, 4) @ w1.data + b1.data)
-        h = ag.ffn(x, w1, b1, w2, b2).data.reshape(6, 4)
-        zn = ag.layer_norm(ag.Tensor(h), g, b, 1e-5).data
-        np.testing.assert_allclose(adapter_pre, zn @ w_down.data, rtol=1e-12, atol=1e-12)
-
-    def test_only_nodes_downstream_of_a_grad_tensor(self):
-        rng = np.random.default_rng(5)
-        t = lambda *shape: ag.Tensor(rng.normal(size=shape))
-        first, second = [[t(1, 2, 3), t(3, 4), t(4), t(4, 3), t(3)][1:] for _ in range(2)]
-        second[0].requires_grad = True
-        x = t(1, 2, 3)
-        y = ag.ffn(ag.ffn(x, *first), *second)
-        pres = ag.relu_inputs(ag.tsum(y), 1e-5)
-        assert len(pres) == 1  # the first ffn is off the tape: nothing there moves
-        h = ag.ffn(x, *first).data.reshape(2, 3)
-        np.testing.assert_array_equal(pres[0], h @ second[0].data + second[1].data)

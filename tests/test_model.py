@@ -158,7 +158,7 @@ class TestBuildModel:
         expect = (cfg.vocab_size * h
                   + cfg.n_enc_layers * (attn + 2 * ln + ffn)
                   + cfg.n_dec_layers * (2 * attn + 3 * ln + ffn))
-        assert sum(t.size for t in m.params.values()) == expect
+        assert sum(t.data.size for t in m.params.values()) == expect
 
     def test_head_divisibility_error(self):
         with pytest.raises(mdl.ConfigError):
@@ -335,7 +335,7 @@ class TestParamGroups:
         h, f = cfg.d_model, cfg.d_ffn
         per_layer = (4 * h * h + 3 * h) + 2 * 2 * h + (h * f + f + f * h + h)
         expect = cfg.vocab_size * h + cfg.n_enc_layers * per_layer
-        got = sum(t.size for _, t in mdl.param_group(m, "enc"))
+        got = sum(t.data.size for _, t in mdl.param_group(m, "enc"))
         assert got == expect
 
     def test_unknown_selector(self):

@@ -150,7 +150,7 @@ class TestStage2:
 
     def test_wider_selector_trains_strictly_more(self, mini_data):
         model = mdl.build_model(mini_config())
-        count = lambda sel: sum(t.size for _, t in mdl.param_group(model, sel))
+        count = lambda sel: sum(t.data.size for _, t in mdl.param_group(model, sel))
         assert count("enc") < count("enc+catt") < count("enc+catt+dec")
 
 
