@@ -301,17 +301,15 @@ def cmd_generate(cfg: RunConfig, ws: Workspace, task: str, style: str, fresh_s0:
     return 0
 
 
-MetricLMs = tuple[mx.NgramLM, dict[str, mx.NgramLM]]
-LM_ORDER, LM_K = 2, 0.1  # the metric LMs' n-gram order and add-k smoothing
+MetricLMs = tuple[mx.BigramLM, dict[str, mx.BigramLM]]
 
 
 def metric_lms(ws: Workspace, task: str) -> MetricLMs:
     """The LMs that evaluate scores a task with: plain (task targets) and one per style."""
     vocab = Vocab()
-    plain = mx.train_ngram_lm(read_corpus(ws.data / f"task_{task}.train.tgt", vocab),
-                              LM_ORDER, LM_K, vocab)
+    plain = mx.train_ngram_lm(read_corpus(ws.data / f"task_{task}.train.tgt", vocab), vocab)
     styled = {style: mx.train_ngram_lm(read_corpus(ws.data / f"style_{style}.train.txt", vocab),
-                                       LM_ORDER, LM_K, vocab)
+                                       vocab)
               for style in STYLES}
     return plain, styled
 

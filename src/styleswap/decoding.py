@@ -178,16 +178,18 @@ def generate_batch(model: Model, adapters: AdapterSet, input_file: Path,
     """Decode every input line through `adapters`; one output line per input line, in order.
 
     Each line's score goes to the same line of `output_file` with suffix
-    `.scores`, which must not be `output_file` itself. Every line, and the
-    output directory, is checked before any line is decoded. On any failure
-    no file is written, and no worker outlives the call. `max_out_len` is
-    checked here too, since a checkpoint read from disk can carry another
-    `max_len` than the run's config.
+    `.scores`; the two files must differ from each other and from
+    `input_file`. Every line, and the output directory, is checked before
+    any line is decoded. On any failure no file is written, and no worker
+    outlives the call. `max_out_len` is checked here too, since a
+    checkpoint read from disk can carry another `max_len` than the config.
     """
     scores_file = output_file.with_suffix(".scores")
     if scores_file == output_file:
         raise ValueError(f"{output_file}: the scores would overwrite the outputs; "
                          "name the output file with another suffix than .scores")
+    if input_file.resolve() in (output_file.resolve(), scores_file.resolve()):
+        raise ValueError(f"{input_file}: the outputs or their scores would overwrite the inputs")
     if cfg.max_out_len > model.config.max_len:
         raise ValueError(f"max_out_len={cfg.max_out_len} exceeds the model's "
                          f"max_len={model.config.max_len}")
@@ -195,6 +197,8 @@ def generate_batch(model: Model, adapters: AdapterSet, input_file: Path,
     for lineno, src in enumerate(inputs, start=1):
         if not src:
             raise ValueError(f"{input_file}:{lineno}: empty input sequence")
+        if {vocab.pad, vocab.bos, vocab.eos} & set(src):
+            raise ValueError(f"{input_file}:{lineno}: input holds <pad>, <bos> or <eos>")
         if len(src) > model.config.max_len:
             raise ValueError(f"{input_file}:{lineno}: input longer than model max_len")
     if not output_file.parent.is_dir():

@@ -1,11 +1,13 @@
-"""Automatic metrics: ROUGE, n-gram perplexity, style-marker rate, reports.
+"""Automatic metrics: ROUGE, bigram perplexity, style-marker rate, reports.
 
 ROUGE is plain token-level F1 (no stemming, synthetic ids). Perplexity
-comes from an add-k smoothed bigram model standing in for the fine-tuned
+comes from an add-k smoothed bigram table standing in for the fine-tuned
 LM metric: PPL under a model trained on plain text, PPL-S under models
-trained on each style corpus. The style-marker rate is this artifact's
-direct style-strength oracle: the fraction of output lines carrying the
-target style's markers and nobody else's.
+trained on each style corpus. This module owns the LM recipe (bigrams,
+add-`LM_K`); callers pass only a corpus and the vocabulary. The
+style-marker rate is this artifact's direct style-strength oracle: the
+fraction of output lines carrying the target style's markers and nobody
+else's.
 
 A report file is its `MetricsReport` as one JSON object, keyed by the
 field names; JSON writes floats via repr, so the file round-trips losslessly.
@@ -78,76 +80,50 @@ def rouge_corpus(candidates, references, variant) -> float:
 
 
 # ---------------------------------------------------------------------------
-# n-gram language model
+# bigram language model
+
+LM_K = 0.1  # the metric LMs' add-k smoothing
 
 
-class NgramLM:
-    """Add-k smoothed n-gram model over a fixed predictable vocabulary.
+@dataclass
+class BigramLM:
+    """`logp[context, token]` over all ids; BOS is the first context, EOS the last token."""
 
-    BOS pads contexts and is never predicted; EOS terminates every
-    sequence and is scored. Unseen contexts give exactly 1/V per token.
+    logp: np.ndarray
+    bos: int
+    eos: int
+
+
+def train_ngram_lm(corpus: list[list[int]], vocab: Vocab, k: float = LM_K) -> BigramLM:
+    """The add-k LM of `corpus` over V = every id but PAD and BOS: an unseen context gives 1/V.
+
+    Counts turn into `math.log`s (`np.log` can differ in the last bit) in place, a row at
+    a time: a copy of the table, or a float object per cell, would raise the peak RSS.
     """
-
-    def __init__(self, order: int, k: float, vocab_ids: list[int], bos: int, eos: int):
-        if order < 1:
-            raise ValueError("order must be >= 1")
-        if k <= 0:
-            raise ValueError("smoothing constant k must be > 0")
-        self.order = order
-        self.k = k
-        self.vocab_ids = list(vocab_ids)
-        self.V = len(self.vocab_ids)
-        self.bos = bos
-        self.eos = eos
-        self.ngram_counts: Counter = Counter()
-        self.context_counts: Counter = Counter()
-
-    def _events(self, seq: list[int]):
-        padded = [self.bos] * (self.order - 1) + list(seq) + [self.eos]
-        for i in range(self.order - 1, len(padded)):
-            yield tuple(padded[i - self.order + 1 : i]), padded[i]
-
-    def fit(self, corpus: list[list[int]]) -> "NgramLM":
-        for seq in corpus:
-            for context, tok in self._events(seq):
-                self.ngram_counts[context + (tok,)] += 1
-                self.context_counts[context] += 1
-        return self
-
-    def cond_prob(self, context: tuple, tok: int) -> float:
-        num = self.ngram_counts[tuple(context) + (tok,)] + self.k
-        den = self.context_counts[tuple(context)] + self.k * self.V
-        return num / den
-
-    def sequence_logprob(self, seq: list[int]) -> tuple[float, int]:
-        """(total log prob, number of scored events); EOS counts, BOS does not."""
-        total = 0.0
-        events = 0
-        for context, tok in self._events(seq):
-            total += math.log(self.cond_prob(context, tok))
-            events += 1
-        return total, events
-
-
-def train_ngram_lm(corpus: list[list[int]], order: int, k: float, vocab: Vocab) -> NgramLM:
-    """Fit an LM whose predictable vocabulary is everything but PAD and BOS."""
     if not corpus:
         raise ValueError("train_ngram_lm: empty corpus")
-    ids = [i for i in range(len(vocab)) if i not in (vocab.pad, vocab.bos)]
-    return NgramLM(order, k, ids, vocab.bos, vocab.eos).fit(corpus)
+    table = np.zeros((len(vocab), len(vocab)))
+    for seq in corpus:
+        np.add.at(table, ([vocab.bos, *seq], [*seq, vocab.eos]), 1)
+    denominators = table.sum(axis=1, keepdims=True) + k * (len(vocab) - 2)
+    table += k
+    table /= denominators
+    for row in table:
+        row[:] = [math.log(p) for p in row.tolist()]
+    return BigramLM(table, vocab.bos, vocab.eos)
 
 
-def perplexity(lm: NgramLM, sequences: list[list[int]]) -> float:
-    """exp of mean negative log-likelihood per scored token."""
+def perplexity(lm: BigramLM, sequences: list[list[int]]) -> float:
+    """exp of mean negative log-likelihood per scored token, summed in event order."""
     if not sequences:
         raise ValueError("perplexity: empty input")
     total = 0.0
-    events = 0
     for seq in sequences:
-        ll, n = lm.sequence_logprob(seq)
-        total += ll
-        events += n
-    return math.exp(-total / events)
+        seq_total = 0.0
+        for logp in lm.logp[[lm.bos, *seq], [*seq, lm.eos]].tolist():
+            seq_total += logp
+        total += seq_total
+    return math.exp(-total / (sum(map(len, sequences)) + len(sequences)))  # EOS is scored
 
 
 # ---------------------------------------------------------------------------
@@ -203,7 +179,7 @@ class MetricsReport:
 
 
 def evaluate_run(outputs: list[list[int]], references: list[list[int]],
-                 plain_lm: NgramLM, style_lms: dict[str, NgramLM], vocab: Vocab,
+                 plain_lm: BigramLM, style_lms: dict[str, BigramLM], vocab: Vocab,
                  embeddings: np.ndarray | None = None) -> MetricsReport:
     if len(outputs) != len(references):
         raise ValueError(

@@ -234,15 +234,17 @@ def _load_pairs(data_dir: Path, inputs: str, targets: str, vocab: Vocab,
                 max_len: int) -> PairSplits:
     """The (input, target) pairs of the train and valid splits that fit max_len.
 
-    `inputs` and `targets` name corpus files with a `{split}` field. A split
-    with no pair left is an error naming its input file.
+    `inputs` and `targets` name corpus files with a `{split}` field. Files
+    of unequal length, or a split with no pair left, are an error naming them.
     """
     splits = []
     for split in ("train", "valid"):
         src = Path(data_dir) / inputs.format(split=split)
-        pairs = zip(read_corpus(src, vocab),
-                    read_corpus(Path(data_dir) / targets.format(split=split), vocab))
-        kept = [(x, y) for x, y in pairs if 0 < len(x) <= max_len and 0 < len(y) + 1 <= max_len]
+        tgt = Path(data_dir) / targets.format(split=split)
+        xs, ys = read_corpus(src, vocab), read_corpus(tgt, vocab)
+        if len(xs) != len(ys):
+            raise ValueError(f"{src} has {len(xs)} lines but {tgt} has {len(ys)}")
+        kept = [(x, y) for x, y in zip(xs, ys) if 0 < len(x) <= max_len and len(y) < max_len]
         if not kept:
             raise ValueError(f"{src}: no {split} pair fits max_len={max_len}")
         splits.append(kept)

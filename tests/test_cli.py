@@ -233,6 +233,23 @@ class TestOrdering:
         assert capsys.readouterr().err == (f"error: {tmp_path}/models/base_headline.enc.ckpt "
                                            "missing; run train-task first\n")
 
+    @pytest.mark.parametrize("command, inputs, targets", [
+        (["train-adapter", "--style", "s2"], "style_s2.para.train.src", "style_s2.train.txt"),
+        (["train-task", "--task", "headline"], "task_headline.train.src",
+         "task_headline.train.tgt")], ids=["stage1", "stage2"])
+    def test_cut_target_file_is_refused_before_training(self, flow, tmp_path, capsys,
+                                                        command, inputs, targets):
+        ws = tmp_path / "w"
+        shutil.copytree(flow, ws)
+        target = ws / "data" / targets
+        target.write_text("".join(target.read_text().splitlines(keepends=True)[:50]))
+        n_inputs = len((ws / "data" / inputs).read_text().splitlines())
+        before = tree_digest(ws)
+        assert run(ws, *command) == 1
+        assert capsys.readouterr().err == (f"error: {ws}/data/{inputs} has {n_inputs} lines "
+                                           f"but {target} has 50\n")
+        assert tree_digest(ws) == before  # no adapter, checkpoint or log
+
     def test_checkpoint_from_older_version_is_one_line_error(self, tmp_path, capsys):
         assert run(tmp_path, "gen-data") == 0
         ws = cli.Workspace(tmp_path)
@@ -411,6 +428,17 @@ class TestGenerate:
             f"error: {out}: the scores would overwrite the outputs; "
             "name the output file with another suffix than .scores\n")
         assert tree_digest(flow) == before
+
+    def test_output_that_is_the_input_is_refused(self, flow, tmp_path, capsys):
+        path = tmp_path / "in.txt"
+        shutil.copy(flow / "data/task_headline.test.src", path)
+        before = path.read_bytes()
+        assert run(flow, "generate", "--task", "headline", "--style", "s1",
+                   "--input", str(path), "--output", str(path)) == 1
+        assert capsys.readouterr().err == (f"error: {path}: the outputs or their scores "
+                                           "would overwrite the inputs\n")
+        assert path.read_bytes() == before
+        assert sorted(tmp_path.iterdir()) == [path]
 
     def test_rerun_bit_identical(self, flow):
         out = flow / "outputs/headline.s1.out"

@@ -4,6 +4,7 @@ import ctypes
 import multiprocessing
 import os
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -428,6 +429,44 @@ class TestGenerateBatch:
                                tmp_path / "out.txt", dec.DecodeConfig(max_out_len=4), vocab)
         assert decoded == []
         assert not (tmp_path / "out.txt").exists()
+
+    @pytest.mark.parametrize("special", ["<pad>", "<bos>", "<eos>"])
+    def test_input_holding_a_special_token_is_refused_before_any_line_is_decoded(
+            self, tiny_setup, tmp_path, monkeypatch, special):
+        vocab, model, adapters = tiny_setup
+        (tmp_path / "in.txt").write_text(f"k00 <mask> k01\nk02 {special} k03\n")
+        decoded = []
+        monkeypatch.setattr(dec, "beam_search", lambda *a: decoded.append(a))
+        with pytest.raises(ValueError) as exc:
+            dec.generate_batch(model, adapters, tmp_path / "in.txt",
+                               tmp_path / "out.txt", dec.DecodeConfig(max_out_len=4), vocab)
+        assert str(exc.value) == f"{tmp_path / 'in.txt'}:2: input holds <pad>, <bos> or <eos>"
+        assert decoded == []
+        assert not (tmp_path / "out.txt").exists()
+
+    def test_input_holding_a_mask_token_decodes(self, tiny_setup, tmp_path):
+        vocab, model, adapters = tiny_setup
+        (tmp_path / "in.txt").write_text("k00 <mask> k01\n<mask>\n")
+        results = dec.generate_batch(model, adapters, tmp_path / "in.txt",
+                                     tmp_path / "out.txt", dec.DecodeConfig(max_out_len=4), vocab)
+        assert len(results) == 2
+        assert len((tmp_path / "out.txt").read_text().splitlines()) == 2
+
+    @pytest.mark.parametrize("name, output", [("in.txt", "in.txt"), ("in.scores", "in.out")],
+                             ids=["outputs", "scores"])
+    def test_output_or_scores_that_are_the_input_are_refused_before_reading_a_line(
+            self, tiny_setup, tmp_path, monkeypatch, name, output):
+        vocab, model, adapters = tiny_setup
+        path = tmp_path / name
+        path.write_text("k00 k01\n")
+        monkeypatch.setattr(dec, "read_corpus", None)
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(ValueError) as exc:  # the input named absolute, the output relative
+            dec.generate_batch(model, adapters, path, Path(output),
+                               dec.DecodeConfig(max_out_len=4), vocab)
+        assert str(exc.value) == f"{path}: the outputs or their scores would overwrite the inputs"
+        assert sorted(tmp_path.iterdir()) == [path]
+        assert path.read_text() == "k00 k01\n"
 
     def test_missing_output_directory_is_refused_before_any_line_is_decoded(
             self, tiny_setup, tmp_path, monkeypatch):

@@ -1,6 +1,8 @@
 """Metric oracles: hand-computed ROUGE, closed-form perplexity, marker rates."""
 
 import json
+import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -14,6 +16,9 @@ VOCAB = sd.Vocab()
 A, B, C, D = VOCAB.keywords[:4]
 
 token_lists = st.lists(st.sampled_from(VOCAB.keywords[:6]), min_size=1, max_size=8)
+# LM lines: empty ones too, and ids that a corpus line rarely or never holds
+lm_lines = st.lists(st.sampled_from(VOCAB.keywords[:4] + VOCAB.markers["s1"][:2]
+                                    + (VOCAB.eos, VOCAB.mask)), max_size=8)
 
 
 class TestRouge:
@@ -51,55 +56,89 @@ class TestRouge:
         assert mx.rouge_corpus(cands, refs, 1) == pytest.approx((1.0 + 0.0) / 2)
 
 
+V = len(VOCAB) - 2  # the predictable ids: every id but PAD and BOS
+PREDICTABLE = [i for i in range(len(VOCAB)) if i not in (VOCAB.pad, VOCAB.bos)]
+
+
+def reference_perplexity(corpus, outputs, k):
+    """Perplexity event by event from the add-k closed form, summed in order."""
+    pairs, contexts = Counter(), Counter()
+    for seq in corpus:
+        for ctx, tok in zip([VOCAB.bos, *seq], [*seq, VOCAB.eos]):
+            pairs[ctx, tok] += 1
+            contexts[ctx] += 1
+    total, events = 0.0, 0
+    for seq in outputs:
+        seq_total = 0.0
+        for ctx, tok in zip([VOCAB.bos, *seq], [*seq, VOCAB.eos]):
+            seq_total += math.log((pairs[ctx, tok] + k) / (contexts[ctx] + k * V))
+            events += 1
+        total += seq_total
+    return math.exp(-total / events)
+
+
 class TestNgramLM:
+    """`train_ngram_lm`'s bigram table."""
+
     def test_single_sentence_counts(self):
         k = 0.1
-        lm = mx.train_ngram_lm([[A, A, A]], order=2, k=k, vocab=VOCAB)
-        v = lm.V
-        assert lm.cond_prob((A,), A) == pytest.approx((2 + k) / (3 + k * v), abs=1e-12)
-        assert lm.cond_prob((A,), VOCAB.eos) == pytest.approx((1 + k) / (3 + k * v), abs=1e-12)
+        lm = mx.train_ngram_lm([[A, A, A]], VOCAB, k=k)
+        assert lm.logp[A, A] == math.log((2 + k) / (3 + k * V))
+        assert lm.logp[A, VOCAB.eos] == math.log((1 + k) / (3 + k * V))
+        assert lm.logp[VOCAB.bos, A] == math.log((1 + k) / (1 + k * V))
+
+    def test_default_smoothing_is_lm_k(self):
+        corpus = [[A, B], [B, C, A]]
+        default = mx.train_ngram_lm(corpus, VOCAB)
+        assert np.array_equal(default.logp, mx.train_ngram_lm(corpus, VOCAB, k=mx.LM_K).logp)
+        assert default.logp.shape == (len(VOCAB), len(VOCAB))
+        assert default.logp.dtype == np.float64
 
     def test_conditionals_sum_to_one(self):
         rng = np.random.default_rng(0)
         corpus = [[int(t) for t in rng.choice(VOCAB.keywords, size=5)] for _ in range(50)]
-        lm = mx.train_ngram_lm(corpus, order=2, k=0.1, vocab=VOCAB)
-        contexts = [(int(rng.choice(VOCAB.keywords)),) for _ in range(100)]
+        lm = mx.train_ngram_lm(corpus, VOCAB, k=0.1)
+        contexts = [int(rng.choice(VOCAB.keywords)) for _ in range(100)] + [VOCAB.bos]
         for ctx in contexts:
-            total = sum(lm.cond_prob(ctx, tok) for tok in lm.vocab_ids)
+            total = sum(math.exp(lm.logp[ctx, tok]) for tok in PREDICTABLE)
             assert total == pytest.approx(1.0, abs=1e-9)
 
+    def test_unseen_context_gives_one_over_v(self):
+        lm = mx.train_ngram_lm([[A, B]], VOCAB, k=0.1)
+        for tok in (A, C, VOCAB.eos):
+            assert math.exp(lm.logp[C, tok]) == pytest.approx(1 / V, rel=1e-12)
+
     def test_huge_k_approaches_uniform(self):
-        lm = mx.train_ngram_lm([[A, B, A]], order=2, k=1e9, vocab=VOCAB)
-        assert lm.cond_prob((A,), B) == pytest.approx(1 / lm.V, rel=1e-6)
+        lm = mx.train_ngram_lm([[A, B, A]], VOCAB, k=1e9)
+        assert math.exp(lm.logp[A, B]) == pytest.approx(1 / V, rel=1e-6)
 
     def test_empty_corpus_error(self):
-        with pytest.raises(ValueError):
-            mx.train_ngram_lm([], order=2, k=0.1, vocab=VOCAB)
+        with pytest.raises(ValueError, match="empty corpus"):
+            mx.train_ngram_lm([], VOCAB)
 
 
 class TestPerplexity:
     def test_uniform_lm_equals_vocab_size(self):
-        ids = [i for i in range(len(VOCAB)) if i not in (VOCAB.pad, VOCAB.bos)]
-        lm = mx.NgramLM(order=2, k=0.1, vocab_ids=ids, bos=VOCAB.bos, eos=VOCAB.eos)
-        assert mx.perplexity(lm, [[A, B, C], [D]]) == pytest.approx(lm.V, abs=1e-9)
+        uniform = np.full((len(VOCAB), len(VOCAB)), -math.log(V))
+        lm = mx.BigramLM(uniform, VOCAB.bos, VOCAB.eos)
+        assert mx.perplexity(lm, [[A, B, C], [D]]) == pytest.approx(V, abs=1e-9)
 
     def test_closed_form_single_token_corpus(self):
         k = 0.5
-        lm = mx.train_ngram_lm([[A]], order=2, k=k, vocab=VOCAB)
-        v = lm.V
+        lm = mx.train_ngram_lm([[A]], VOCAB, k=k)
         # two events, both with count 1 in a context seen once
-        expect = (1 + k * v) / (1 + k)
+        expect = (1 + k * V) / (1 + k)
         assert mx.perplexity(lm, [[A]]) == pytest.approx(expect, rel=1e-12)
 
     def test_training_sequence_scores_below_random(self):
-        lm = mx.train_ngram_lm([[A, B, C, D]], order=2, k=0.1, vocab=VOCAB)
+        lm = mx.train_ngram_lm([[A, B, C, D]], VOCAB, k=0.1)
         on_train = mx.perplexity(lm, [[A, B, C, D]])
         on_random = mx.perplexity(lm, [[D, B, A, C]])
         assert on_train < on_random
 
     def test_empty_input_error(self):
-        lm = mx.train_ngram_lm([[A]], order=2, k=0.1, vocab=VOCAB)
-        with pytest.raises(ValueError):
+        lm = mx.train_ngram_lm([[A]], VOCAB, k=0.1)
+        with pytest.raises(ValueError, match="empty input"):
             mx.perplexity(lm, [])
 
     def test_style_lm_separates_styles_on_1k_corpora(self):
@@ -108,8 +147,15 @@ class TestPerplexity:
               for _ in range(1000)]
         s2 = [sd.stylize(VOCAB, sd._plain_sentence(VOCAB, rng), "s2", rng)
               for _ in range(1000)]
-        lm1 = mx.train_ngram_lm(s1[:800], order=2, k=0.1, vocab=VOCAB)
+        lm1 = mx.train_ngram_lm(s1[:800], VOCAB)
         assert mx.perplexity(lm1, s1[800:]) < mx.perplexity(lm1, s2[800:])
+
+    @given(st.lists(lm_lines, min_size=1, max_size=12), st.lists(lm_lines, min_size=1, max_size=12),
+           st.floats(min_value=1e-3, max_value=10.0))
+    @settings(max_examples=150, deadline=None)
+    def test_equals_the_per_event_reference_exactly(self, corpus, outputs, k):
+        got = mx.perplexity(mx.train_ngram_lm(corpus, VOCAB, k=k), outputs)
+        assert got == reference_perplexity(corpus, outputs, k)
 
 
 class TestMarkerRate:
@@ -166,12 +212,12 @@ class TestEmbeddingCosine:
 
 def build_lms(rng):
     plain = [sd._plain_sentence(VOCAB, rng) for _ in range(300)]
-    plain_lm = mx.train_ngram_lm(plain, 2, 0.1, VOCAB)
+    plain_lm = mx.train_ngram_lm(plain, VOCAB)
     style_lms = {}
     for style in sd.STYLES:
         styled = [sd.stylize(VOCAB, sd._plain_sentence(VOCAB, rng), style, rng)
                   for _ in range(300)]
-        style_lms[style] = mx.train_ngram_lm(styled, 2, 0.1, VOCAB)
+        style_lms[style] = mx.train_ngram_lm(styled, VOCAB)
     return plain_lm, style_lms
 
 
