@@ -25,11 +25,12 @@ before any work, and an adapter file is refused unless it holds the style
 and mode it is loaded as.
 
 A workdir and its `config.txt` are a run's only identity: `pipeline` and
-`ablate` refuse a workdir whose `config.txt` holds other settings. So do
-the commands that write into a workdir that holds a `config.txt`:
-`gen-data`, `train-adapter`, `train-task`, `generate` without `--output`
-and `evaluate` without `--outputs`. A workdir that only `gen-data` made
-holds no `config.txt`, and the stage commands take any settings there. The
+`ablate` refuse a workdir whose corpora or `config.txt` were made with
+other settings. So do the commands that write into a workdir: `gen-data`,
+`train-adapter`, `train-task`, `generate` without `--output` and `evaluate`
+without `--outputs`. A workdir that only `gen-data` made holds no
+`config.txt`, and the stage commands take any settings there but the
+corpora's (seed, `n_task`, `n_style`, `tasks`). The
 `ablate` cell of the run's own mode and trainable group is the run itself.
 Each other cell is a workdir `<workdir>/ablate/<cell>/`, named by its table
 row (such as `denoise/enc+catt` or `no-s0/enc`). It reads `data/`,
@@ -514,7 +515,7 @@ def main(argv=None) -> int:
     try:
         cfg = _resolve_config(args)
         ws = Workspace(args.workdir)
-        if _writes_run_files(args) and (ws.root / "config.txt").exists():
+        if _writes_run_files(args):
             check_run(cfg, ws)
         if args.command == "gen-data":
             return cmd_gen_data(cfg, ws)

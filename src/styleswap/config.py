@@ -25,7 +25,9 @@ config file as in `--set`. So is the former `preset` key: delete the
 Keys are flat. Every run-level field and every nested field is one key,
 except the nested fields that a run sets itself (seeds, vocabulary size,
 each stage's epochs and log) and the fixed `ln_eps`. Config files are
-`key=value` lines, applied over the defaults in file order.
+`key=value` lines, applied over the defaults in file order. `from_items`
+is the one parser: it turns the raw values of `--set` items and of config
+file lines alike into a `RunConfig`.
 """
 
 from __future__ import annotations
@@ -116,15 +118,6 @@ def flat_items(cfg: RunConfig) -> dict:
             for key, section in _KEYS.items()}
 
 
-def _with_keys(cfg: RunConfig, values: dict) -> RunConfig:
-    top = {k: v for k, v in values.items() if _KEYS[k] is None}
-    for section in _SECTIONS:
-        nested = {k: v for k, v in values.items() if _KEYS[k] == section}
-        if nested:
-            top[section] = replace(getattr(cfg, section), **nested)
-    return replace(cfg, **top)
-
-
 def _coerce(key, current, raw):
     if isinstance(current, tuple):
         return tuple(part for part in raw.split(",") if part)
@@ -132,14 +125,6 @@ def _coerce(key, current, raw):
         return type(current)(raw)
     except ValueError:
         raise ValueError(f"{key}: expected {type(current).__name__}, got {raw!r}") from None
-
-
-def parse_overrides(cfg: RunConfig, items: dict[str, str]) -> RunConfig:
-    unknown = set(items) - set(_KEYS)
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    current = flat_items(cfg)
-    return _with_keys(cfg, {k: _coerce(k, current[k], v) for k, v in items.items()})
 
 
 def read_config_file(path: Path) -> dict[str, str]:
@@ -158,7 +143,16 @@ def read_config_file(path: Path) -> dict[str, str]:
 
 def from_items(items: dict[str, str]) -> RunConfig:
     """The defaults with every key of `items` on top."""
-    return parse_overrides(RunConfig(), items)
+    unknown = set(items) - set(_KEYS)
+    if unknown:
+        raise ValueError(f"unknown config keys: {sorted(unknown)}")
+    default = RunConfig()
+    current = flat_items(default)
+    values = {key: _coerce(key, current[key], raw) for key, raw in items.items()}
+    nested = {section: replace(getattr(default, section),
+                               **{k: v for k, v in values.items() if _KEYS[k] == section})
+              for section in _SECTIONS}
+    return RunConfig(**nested, **{k: v for k, v in values.items() if _KEYS[k] is None})
 
 
 def save_config(cfg: RunConfig, path: Path) -> None:

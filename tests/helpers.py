@@ -4,11 +4,15 @@ must match, the elementary-op forward that the fused autograd ops must
 match bit for bit, and the per-token-`choice` corpus generators whose random
 stream and output the fast ones must reproduce exactly. Also `float64`, the
 widened copy of a float32 model that the exact comparisons run on, a
-model, batch and training step to compare two computations of, and
-`usable_cpus`, which sets how many CPUs the worker pools see."""
+model, batch and training step to compare two computations of,
+`usable_cpus`, which sets how many CPUs the worker pools see, and `reseal`,
+which edits an artifact file and writes it back under a valid checksum."""
 
 import hashlib
+import json
 import os
+import struct
+from pathlib import Path
 
 import numpy as np
 
@@ -25,6 +29,26 @@ VOCAB = Vocab()
 def usable_cpus(monkeypatch, n: int) -> None:
     """Let this process run on `n` CPUs; a pool worker still counts as one."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+def reseal(path: Path, edit) -> None:
+    """Let `edit(parts)` change an artifact file's parts, then write them back
+    with a valid checksum.
+
+    `parts` holds the 8-byte "prefix" (magic and version), the parsed
+    "header" and the "records" bytes after it; setting "header_len" writes
+    that header length in place of the true one. With no change the file
+    is rewritten byte for byte.
+    """
+    body = Path(path).read_bytes()[:-32]
+    (n,) = struct.unpack_from("<I", body, 8)
+    parts = {"prefix": bytearray(body[:8]), "header": json.loads(body[12 : 12 + n]),
+             "records": bytearray(body[12 + n :])}
+    edit(parts)
+    header = json.dumps(parts["header"], sort_keys=True, separators=(",", ":")).encode()
+    body = (bytes(parts["prefix"]) + struct.pack("<I", parts.get("header_len", len(header)))
+            + header + bytes(parts["records"]))
+    Path(path).write_bytes(body + hashlib.sha256(body).digest())
 
 
 def _prefix_seed(seed: int, prefix: tuple[int, ...]) -> int:

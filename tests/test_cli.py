@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import usable_cpus
+from helpers import reseal, usable_cpus
 from styleswap import cli
 from styleswap import config as rc
 from styleswap import data as sd
@@ -212,6 +212,18 @@ class TestGenData:
         assert run(b, "gen-data") == 0
         assert tree_digest(a / "data") == tree_digest(b / "data")
 
+    def test_rerun_with_other_corpus_settings_is_refused(self, flow, tmp_path, capsys):
+        ws = tmp_path / "w"  # corpora and adapters, no config.txt
+        shutil.copytree(flow, ws)
+        before = tree_digest(ws)
+        assert run(ws, "--set", "n_style=200", "gen-data") == 1
+        assert capsys.readouterr().err == (
+            f"error: {ws}/data/manifest.json was generated with different settings: "
+            "n_style 120 (data) vs 200 (config); use a fresh workdir or matching flags\n")
+        assert tree_digest(ws) == before
+        assert run(ws, "gen-data") == 0  # the same settings rewrite the same corpora
+        assert tree_digest(ws) == before
+
     def test_commands_never_mutate_inputs(self, flow):
         before = tree_digest(flow / "data")
         assert run(flow, "generate", "--task", "headline", "--style", "s1") == 0
@@ -262,6 +274,20 @@ class TestOrdering:
         err = capsys.readouterr().err
         assert "model config keys differ from this version (unknown ['dropout']" in err
         assert len(err.splitlines()) == 1
+
+    def test_checkpoint_with_a_malformed_body_is_one_line_error(self, flow, tmp_path, capsys):
+        ws = tmp_path / "w"
+        shutil.copytree(flow, ws)
+        path = ws / "models/base_init.ckpt"
+        reseal(path, lambda parts: parts["records"].__setitem__(slice(0, 4),
+                                                                (99999).to_bytes(4, "little")))
+        before = tree_digest(ws)
+        capsys.readouterr()
+        assert run(ws, "train-adapter", "--style", "s1") == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: malformed file (record ")
+        assert len(err.splitlines()) == 1
+        assert tree_digest(ws) == before
 
     @pytest.mark.parametrize("command", [("train-adapter", "--style", "s0"),
                                          ("train-task", "--task", "headline"),

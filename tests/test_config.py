@@ -77,8 +77,7 @@ class TestConfigFile:
             rc.from_items(rc.read_config_file(path))
 
     def test_save_load_roundtrip(self, tmp_path):
-        cfg = rc.parse_overrides(rc.RunConfig(),
-                                 {"lr": "0.005", "n_task": "123", "tasks": "story"})
+        cfg = rc.from_items({"lr": "0.005", "n_task": "123", "tasks": "story"})
         rc.save_config(cfg, tmp_path / "out.cfg")
         assert rc.from_items(rc.read_config_file(tmp_path / "out.cfg")) == cfg
 
@@ -93,7 +92,7 @@ class TestConfigFile:
     def test_removed_keys_rejected(self, tmp_path, capsys):
         for key in ("dropout", "vocab_size", *REMOVED_KEYS):
             with pytest.raises(ValueError, match="unknown config keys"):
-                rc.parse_overrides(rc.RunConfig(), {key: "1"})
+                rc.from_items({key: "1"})
         # through the CLI, from --set and from a config file: one line, exit 1, no files
         path, workdir = tmp_path / "run.cfg", tmp_path / "w"
         for key, value in REMOVED_KEYS.items():
@@ -124,7 +123,7 @@ class TestDerivedConfigs:
 
     def test_model_config_matches_model_defaults(self):
         for seed in (0, 3, 17):
-            cfg = rc.parse_overrides(rc.RunConfig(), {"seed": str(seed)})
+            cfg = rc.from_items({"seed": str(seed)})
             assert cfg.model_config() == ModelConfig(seed=seed)
 
     def test_model_config_vocab_size_is_the_vocabulary(self):

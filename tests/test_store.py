@@ -1,10 +1,14 @@
 """Checkpoint and adapter file format tests."""
 
+import json
 import multiprocessing
+import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+from helpers import reseal
 from styleswap import data as sd
 from styleswap import model as mdl
 from styleswap import store
@@ -25,6 +29,120 @@ def logits(model, src, prefix):
 
 def toy_config():
     return mdl.ModelConfig()  # the full-size defaults
+
+
+@pytest.fixture(params=["checkpoint", "adapter"])
+def artifact(request, tmp_path):
+    """One saved file of either format, with its loader and its writer."""
+    model = mdl.build_model(small_config())
+    if request.param == "checkpoint":
+        path = tmp_path / "m.ckpt"
+        load = store.load_checkpoint
+        save = store.save_checkpoint
+        store.save_checkpoint(model, path)
+    else:
+        path = tmp_path / "m.adapter"
+
+        def load(p):
+            return store.load_adapter(p, model)
+
+        def save(adapters, p):
+            store.save_adapter(adapters, model.base_id, p)
+
+        save(mdl.fresh_adapters(model.config, "s1", seed=2, mode="denoise"), path)
+    return SimpleNamespace(path=path, load=load, save=save)
+
+
+def count_past_the_end(parts):
+    parts["records"][:4] = struct.pack("<I", 99999)
+
+
+def name_past_the_end(parts):
+    parts["records"][4:6] = struct.pack("<H", 0xFFFF)
+
+
+def first_record_twice(parts):
+    records = parts["records"]
+    (count, name_len) = struct.unpack_from("<IH", records, 0)
+    ndim = records[7 + name_len]
+    shape = struct.unpack_from(f"<{ndim}I", records, 8 + name_len)
+    end = 8 + name_len + 4 * ndim + 4 * int(np.prod(shape))
+    records[:4] = struct.pack("<I", count + 1)
+    records += records[4:end]
+
+
+def header_past_the_end(parts):
+    parts["header_len"] = len(json.dumps(parts["header"])) + len(parts["records"]) + 8
+
+
+class TestFrame:
+    """The frame checks of the one reader, on both formats."""
+
+    def test_save_load_save_byte_identical(self, artifact, tmp_path):
+        again = tmp_path / "again"
+        artifact.save(artifact.load(artifact.path), again)
+        assert again.read_bytes() == artifact.path.read_bytes()
+
+    def test_truncated_file_detected(self, artifact):
+        artifact.path.write_bytes(artifact.path.read_bytes()[:47])
+        with pytest.raises(store.StoreError, match=r"m\.\w+: truncated file$"):
+            artifact.load(artifact.path)
+
+    def test_corrupt_byte_detected(self, artifact):
+        raw = bytearray(artifact.path.read_bytes())
+        raw[len(raw) // 2] ^= 0x01
+        artifact.path.write_bytes(bytes(raw))
+        with pytest.raises(store.StoreError, match=r"checksum mismatch \(corrupt file\)$"):
+            artifact.load(artifact.path)
+
+    def test_bad_magic_detected(self, artifact):
+        reseal(artifact.path, lambda parts: parts["prefix"].__setitem__(slice(0, 4), b"XXXX"))
+        with pytest.raises(store.StoreError, match=r"bad magic b'XXXX', expected b'SSW[PA]'$"):
+            artifact.load(artifact.path)
+
+    def test_version_mismatch_detected(self, artifact):
+        reseal(artifact.path,
+               lambda parts: parts["prefix"].__setitem__(slice(4, 8), struct.pack("<I", 99)))
+        with pytest.raises(store.StoreError, match=r"unsupported format version 99$"):
+            artifact.load(artifact.path)
+
+    def test_header_without_base_id_detected(self, artifact):
+        reseal(artifact.path, lambda parts: parts["header"].pop("base_id"))
+        with pytest.raises(store.StoreError, match=r"m\.\w+: header lacks \['base_id'\]$"):
+            artifact.load(artifact.path)
+
+    @pytest.mark.parametrize("edit, message", [
+        (count_past_the_end, r"record \d+: unpack_from requires a buffer"),
+        (name_past_the_end, r"record 0: "),
+        (header_past_the_end, r"header: "),
+        (first_record_twice, r"record '[\w.]+' appears twice\)$"),
+        (lambda parts: parts["records"].extend(b"junk"), r"4 bytes after the last record\)$"),
+        (lambda parts: parts.update(header=[]), r"header is not a JSON object"),
+        (lambda parts: parts["header"].update(base_id=5),
+         r"header 'base_id' holds 5, expected a str"),
+    ], ids=["count", "name", "header_len", "duplicate", "trailing", "header_list",
+            "base_id_int"])
+    def test_malformed_body_is_one_store_error(self, artifact, edit, message):
+        reseal(artifact.path, edit)
+        with pytest.raises(store.StoreError, match=r"m\.\w+: malformed file \(" + message):
+            artifact.load(artifact.path)
+
+    @pytest.mark.parametrize("config, message", [
+        (5, r"header 'config' holds 5, expected a dict"),
+        ([], r"header 'config' holds \[\], expected a dict"),
+        ({"d_model": "16"}, r"model config d_model='16', expected int"),
+        ({"n_heads": True}, r"model config n_heads=True, expected int"),
+        ({"max_len": 12.0}, r"model config max_len=12.0, expected int"),
+        ({"ln_eps": None}, r"model config ln_eps=None, expected float"),
+    ], ids=["int", "list", "str_dim", "bool_dim", "float_dim", "null_eps"])
+    def test_malformed_model_config_is_one_store_error(self, tmp_path, config, message):
+        path = tmp_path / "m.ckpt"
+        store.save_checkpoint(mdl.build_model(small_config()), path)
+        reseal(path, lambda parts: parts["header"].update(
+            config=dict(parts["header"]["config"], **config) if isinstance(config, dict)
+            else config))
+        with pytest.raises(store.StoreError, match=r"m\.ckpt: malformed file \(" + message):
+            store.load_checkpoint(path)
 
 
 class TestCheckpoint:
@@ -66,30 +184,6 @@ class TestCheckpoint:
             a = logits(model, src, prefix)
             b = logits(back, src, prefix)
             assert np.max(np.abs(a - b)) < 1e-5
-
-    def test_corrupt_byte_detected(self, tmp_path):
-        model = mdl.build_model(small_config())
-        path = tmp_path / "m.ckpt"
-        store.save_checkpoint(model, path)
-        raw = bytearray(path.read_bytes())
-        raw[len(raw) // 2] ^= 0x01
-        path.write_bytes(bytes(raw))
-        with pytest.raises(store.StoreError, match="checksum"):
-            store.load_checkpoint(path)
-
-    def test_version_mismatch_detected(self, tmp_path):
-        import hashlib
-        import struct
-
-        model = mdl.build_model(small_config())
-        path = tmp_path / "m.ckpt"
-        store.save_checkpoint(model, path)
-        raw = bytearray(path.read_bytes())[:-32]
-        raw[4:8] = struct.pack("<I", 99)
-        raw += hashlib.sha256(bytes(raw)).digest()
-        path.write_bytes(bytes(raw))
-        with pytest.raises(store.StoreError, match="version"):
-            store.load_checkpoint(path)
 
     @pytest.mark.parametrize("fail_at", ["write", "rename"])
     def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch, fail_at):
@@ -199,14 +293,6 @@ class TestCheckpoint:
                      [(n, t.data) for n, t in model.params.items()])
         with pytest.raises(store.StoreError, match=r"old\.ckpt: model config keys differ .*" + message):
             store.load_checkpoint(path)
-
-    def test_header_without_base_id_detected(self, tmp_path):
-        model = mdl.build_model(small_config())
-        header = {"kind": "checkpoint", "config": mdl.asdict(model.config)}
-        store._write(tmp_path / "m.ckpt", store.CKPT_MAGIC, header,
-                     [(n, t.data) for n, t in model.params.items()])
-        with pytest.raises(store.StoreError, match=r"m\.ckpt: header lacks \['base_id'\]"):
-            store.load_checkpoint(tmp_path / "m.ckpt")
 
     def test_lineage_survives_training_and_roundtrip(self, tmp_path):
         model = mdl.build_model(small_config())
