@@ -45,34 +45,6 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-__all__ = [
-    "Tensor",
-    "DimensionError",
-    "no_grad",
-    "grad_enabled",
-    "add",
-    "mul",
-    "matmul",
-    "relu",
-    "reshape",
-    "transpose",
-    "tsum",
-    "embedding",
-    "layer_norm",
-    "softmax",
-    "cross_entropy",
-    "project_heads",
-    "attention",
-    "merge_heads",
-    "ffn",
-    "residual_layer_norm",
-    "adapter",
-    "scaled_embedding",
-    "tied_logits",
-    "backward",
-    "grad_check",
-]
-
 _ids = itertools.count()
 _grad_enabled = True
 

@@ -124,12 +124,6 @@ def _differences(have: dict, want: dict, source: str, target: str = "config") ->
             for key in want if have[key] != want[key]]
 
 
-def _require_task(cfg: RunConfig, command: str, task: str) -> None:
-    if task not in cfg.tasks:
-        raise CliError(f"{command} --task {task}: not one of the config's tasks "
-                       f"({','.join(cfg.tasks)})")
-
-
 def _require_data(cfg: RunConfig, ws: Workspace):
     """Check that the workdir's corpora exist and were made with cfg's settings."""
     path = ws.data / "manifest.json"
@@ -249,8 +243,8 @@ def cmd_train_adapter(cfg: RunConfig, ws: Workspace, style: str) -> int:
     splits = training.load_style_pairs(ws.data, style, mode, vocab, cfg.model.max_len)
     model = ensure_base(cfg, ws)
     label = f"step1.{style}.{mode}"
-    hp = cfg.hyper(epochs=cfg.step1_epochs, seed=child_seed(cfg.seed, label),
-                   log_path=ws.logs / f"{label}.jsonl")
+    hp = replace(cfg.train, epochs=cfg.step1_epochs, seed=child_seed(cfg.seed, label),
+                 log_path=ws.logs / f"{label}.jsonl")
     started = time.time()
     adapters, result = training.train_style_adapter(model, vocab, style, mode, splits, hp)
     path = ws.adapter_path(style, mode)
@@ -262,15 +256,14 @@ def cmd_train_adapter(cfg: RunConfig, ws: Workspace, style: str) -> int:
 
 
 def cmd_train_task(cfg: RunConfig, ws: Workspace, task: str, fresh_s0: bool = False) -> int:
-    _require_task(cfg, "train-task", task)
     _require_data(cfg, ws)
     vocab, trainable = Vocab(), cfg.trainable
     splits = training.load_task_pairs(ws.data, task, vocab, cfg.model.max_len)
     model = ensure_base(cfg, ws)
     adapters = stage_adapters(cfg, ws, model, STYLELESS, fresh_s0)
     label = f"step2.{task}.{trainable}"
-    hp = cfg.hyper(epochs=cfg.step2_epochs, seed=child_seed(cfg.seed, label),
-                   log_path=ws.logs / f"{label}.jsonl")
+    hp = replace(cfg.train, epochs=cfg.step2_epochs, seed=child_seed(cfg.seed, label),
+                 log_path=ws.logs / f"{label}.jsonl")
     started = time.time()
     result = training.train_task(model, vocab, adapters, splits, trainable, hp)
     path = ws.task_model_path(task, trainable)
@@ -283,7 +276,6 @@ def cmd_train_task(cfg: RunConfig, ws: Workspace, task: str, fresh_s0: bool = Fa
 
 def cmd_generate(cfg: RunConfig, ws: Workspace, task: str, style: str, fresh_s0: bool = False,
                  input_file: Path | None = None, output_file: Path | None = None) -> int:
-    _require_task(cfg, "generate", task)
     if input_file is None:
         _require_data(cfg, ws)
     vocab = Vocab()
@@ -330,7 +322,6 @@ def cmd_evaluate(cfg: RunConfig, ws: Workspace, task: str, style: str,
     are the task's `metric_lms` and `embeddings` its `task_embeddings`;
     each is made here if None.
     """
-    _require_task(cfg, "evaluate", task)
     _require_data(cfg, ws)
     vocab = Vocab()
     out_path = Path(outputs_file) if outputs_file else ws.output_path(task, style)
@@ -415,7 +406,6 @@ def cmd_ablate(cfg: RunConfig, ws: Workspace, task: str) -> int:
     the no-s0 cell trains and decodes s0 through fresh identity adapters,
     which are never saved.
     """
-    _require_task(cfg, "ablate", task)
     started = time.time()
     start_run(cfg, ws)
     styles = (STYLELESS,) + STYLES
@@ -489,11 +479,14 @@ def _build_parser() -> argparse.ArgumentParser:
 def _resolve_config(args) -> RunConfig:
     """Config file keys, then --set, then the flags on top."""
     items = read_config_file(args.config) if args.config is not None else {}
+    given: dict[str, str] = {}
     for item in args.set:
         if "=" not in item:
             raise CliError(f"--set expects KEY=VALUE, got {item!r}")
         key, _, value = item.partition("=")
-        items[key] = value
+        if key in given:
+            raise CliError(f"--set {item}: {key} set again (first by --set {given[key]})")
+        given[key], items[key] = item, value
     for key in ("seed", "mode", "trainable", "beam_size"):  # the flags that set a key
         if getattr(args, key, None) is not None:
             items[key] = str(getattr(args, key))
@@ -517,6 +510,9 @@ def main(argv=None) -> int:
         ws = Workspace(args.workdir)
         if _writes_run_files(args):
             check_run(cfg, ws)
+        if getattr(args, "task", None) not in (None, *cfg.tasks):
+            raise CliError(f"{args.command} --task {args.task}: not one of the config's tasks "
+                           f"({','.join(cfg.tasks)})")
         if args.command == "gen-data":
             return cmd_gen_data(cfg, ws)
         if args.command == "train-adapter":

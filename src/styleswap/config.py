@@ -25,9 +25,10 @@ config file as in `--set`. So is the former `preset` key: delete the
 Keys are flat. Every run-level field and every nested field is one key,
 except the nested fields that a run sets itself (seeds, vocabulary size,
 each stage's epochs and log) and the fixed `ln_eps`. Config files are
-`key=value` lines, applied over the defaults in file order. `from_items`
-is the one parser: it turns the raw values of `--set` items and of config
-file lines alike into a `RunConfig`.
+`key=value` lines over the defaults; a key set twice in one file, or by
+two `--set` items, is an error. `from_items` is the one parser: it turns
+the raw values of `--set` items and of config file lines alike into a
+`RunConfig`.
 """
 
 from __future__ import annotations
@@ -87,9 +88,6 @@ class RunConfig:
     def model_config(self) -> ModelConfig:
         return replace(self.model, vocab_size=len(Vocab()), seed=self.seed)
 
-    def hyper(self, epochs: int, seed: int, log_path: Path | None = None) -> Hyper:
-        return replace(self.train, epochs=epochs, seed=seed, log_path=log_path)
-
 
 _SECTIONS = ("model", "train", "decode")
 # Nested fields that are not keys: set by the run itself, or fixed.
@@ -130,14 +128,17 @@ def _coerce(key, current, raw):
 def read_config_file(path: Path) -> dict[str, str]:
     """The raw key -> value pairs of a key=value file."""
     items: dict[str, str] = {}
+    first: dict[str, int] = {}
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise ValueError(f"{path}:{lineno}: expected key=value, got {line!r}")
-        key, _, value = line.partition("=")
-        items[key.strip()] = value.strip()
+        key, _, value = (part.strip() for part in line.partition("="))
+        if key in first:
+            raise ValueError(f"{path}:{lineno}: {key} set again (first on line {first[key]})")
+        first[key], items[key] = lineno, value
     return items
 
 

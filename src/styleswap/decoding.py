@@ -179,10 +179,11 @@ def generate_batch(model: Model, adapters: AdapterSet, input_file: Path,
 
     Each line's score goes to the same line of `output_file` with suffix
     `.scores`; the two files must differ from each other and from
-    `input_file`. Every line, and the output directory, is checked before
-    any line is decoded. On any failure no file is written, and no worker
-    outlives the call. `max_out_len` is checked here too, since a
-    checkpoint read from disk can carry another `max_len` than the config.
+    `input_file`, and each may exist only as a regular file. Every line, the
+    output directory and both output paths are checked before any line is
+    decoded. On any failure no file is written, and no worker outlives the
+    call. `max_out_len` is checked here too, since a checkpoint read from
+    disk can carry another `max_len` than the config.
     """
     scores_file = output_file.with_suffix(".scores")
     if scores_file == output_file:
@@ -203,6 +204,9 @@ def generate_batch(model: Model, adapters: AdapterSet, input_file: Path,
             raise ValueError(f"{input_file}:{lineno}: input longer than model max_len")
     if not output_file.parent.is_dir():
         raise ValueError(f"{output_file}: directory {output_file.parent} does not exist")
+    for path in (output_file, scores_file):
+        if path.exists() and not path.is_file():
+            raise ValueError(f"{path}: exists and is not a regular file")
     results = _decode_in_shards(model, adapters, inputs, cfg, vocab, output_file)
     write_corpus(output_file, [r.tokens for r in results], vocab)
     with open(scores_file, "w", encoding="utf-8") as fh:

@@ -8,11 +8,14 @@ decoder layer; the whole per-style set swaps in and out as a unit.
 
 Parameters live in a flat name -> Tensor registry whose names, order,
 shapes, groups and initial draws come from one table, `param_layout`;
-`build_model` draws it and checkpoint loads fill it from arrays. Every
-base parameter belongs to exactly one group (enc, dec-self, dec-catt,
-dec-other), which is what the training stages use to express freeze
-policies. The token embedding joins the enc group: this model trains from
-scratch, so the task stage must be able to move the (tied) output head.
+`build_model` draws it and checkpoint loads fill it from arrays. One
+adapter layer has a table of its own, `adapter_layout`, which
+`fresh_adapters` draws and adapter swaps and loads check; one draw rule
+serves both tables. Every base parameter belongs to exactly one group
+(enc, dec-self, dec-catt, dec-other), which is what the training stages
+use to express freeze policies. The token embedding joins the enc group:
+this model trains from scratch, so the task stage must be able to move the
+(tied) output head.
 
 Parameters are float32, the precision checkpoints store, and every op
 computes in its inputs' dtype, so training and decoding run in float32.
@@ -92,9 +95,6 @@ class ModelConfig:
             raise ConfigError(f"adapter_bottleneck must be >= 1, got {self.adapter_bottleneck}")
 
 
-ADAPTER_KEYS = ("ln_g", "ln_b", "w_down", "w_up")
-
-
 @dataclass
 class AdapterSet:
     """Per-style adapter parameters for all decoder layers."""
@@ -105,23 +105,33 @@ class AdapterSet:
 
     def named(self):
         for i, layer in enumerate(self.layers):
-            for key in ADAPTER_KEYS:
-                yield f"adapter.{i}.{key}", layer[key]
+            for key, t in layer.items():
+                yield f"adapter.{i}.{key}", t
+
+
+def adapter_layout(config: ModelConfig) -> list[tuple[str, tuple[int, ...], float | str]]:
+    """One decoder layer's adapter in draw order: (key, shape, init), init as in `param_layout`."""
+    h, b = config.d_model, config.adapter_bottleneck
+    return [("ln_g", (h,), "ones"), ("ln_b", (h,), "zeros"),
+            ("w_down", (h, b), 0.02), ("w_up", (b, h), "zeros")]
+
+
+def _draw(rng: np.random.Generator, shape: tuple[int, ...], init: float | str) -> np.ndarray:
+    """One float32 parameter: zeros, ones, or the float32 rounding of float64 normals."""
+    if init == "zeros":
+        return np.zeros(shape, dtype=np.float32)
+    if init == "ones":
+        return np.ones(shape, dtype=np.float32)
+    return rng.normal(0.0, init, size=shape).astype(np.float32)
 
 
 def fresh_adapters(config: ModelConfig, style_id: str, seed: int = 0,
                    mode: str = "fresh") -> AdapterSet:
-    """Identity-at-init float32 adapters: small random down-projection, zero up-projection."""
+    """Identity-at-init adapters, drawn layer by layer from one stream in `adapter_layout` order."""
     rng = np.random.default_rng(seed)
-    h, b = config.d_model, config.adapter_bottleneck
-    layers = []
-    for _ in range(config.n_dec_layers):
-        layers.append({
-            "ln_g": Tensor(np.ones(h, dtype=np.float32)),
-            "ln_b": Tensor(np.zeros(h, dtype=np.float32)),
-            "w_down": Tensor(rng.normal(0.0, 0.02, size=(h, b)).astype(np.float32)),
-            "w_up": Tensor(np.zeros((b, h), dtype=np.float32)),
-        })
+    layout = adapter_layout(config)
+    layers = [{key: Tensor(_draw(rng, shape, init)) for key, shape, init in layout}
+              for _ in range(config.n_dec_layers)]
     return AdapterSet(style_id=style_id, mode=mode, layers=layers)
 
 
@@ -227,14 +237,7 @@ def build_model(config: ModelConfig) -> Model:
     The normals are drawn in float64 and rounded to float32.
     """
     rng = np.random.default_rng(config.seed)
-    arrays = {}
-    for name, _, shape, init in param_layout(config):
-        if init == "zeros":
-            arrays[name] = np.zeros(shape, dtype=np.float32)
-        elif init == "ones":
-            arrays[name] = np.ones(shape, dtype=np.float32)
-        else:
-            arrays[name] = rng.normal(0.0, init, size=shape).astype(np.float32)
+    arrays = {name: _draw(rng, shape, init) for name, _, shape, init in param_layout(config)}
     model = model_from_arrays(config, arrays, "")
     model.base_id = lineage_fingerprint(config, model.params)
     return model
@@ -393,12 +396,11 @@ def swap_adapters(model: Model, adapters: AdapterSet) -> Model:
         raise AdapterError(
             f"adapter set has {len(adapters.layers)} layers, model has {cfg.n_dec_layers}"
         )
-    h, b = cfg.d_model, cfg.adapter_bottleneck
-    want = {"ln_g": (h,), "ln_b": (h,), "w_down": (h, b), "w_up": (b, h)}
-    for name, t in adapters.named():
-        kind = name.rsplit(".", 1)[1]
-        if t.shape != want[kind]:
-            raise AdapterError(f"{name} shaped {t.shape}, expected {want[kind]}")
+    want = {key: shape for key, shape, _ in adapter_layout(cfg)}
+    for i, layer in enumerate(adapters.layers):
+        shapes = {key: t.shape for key, t in layer.items()}
+        if shapes != want:
+            raise AdapterError(f"adapter layer {i} shaped {shapes}, expected {want}")
     model.adapters = adapters
     return model
 

@@ -7,7 +7,8 @@ the parts to a temporary file while one sha256 absorbs the same bytes, so
 no whole-file buffer and no copy of a float32 parameter is made. One
 reader, `_read`, serves both formats: it checks the length, checksum,
 magic, version and header keys, in that order, before it decodes any
-record. Records load as writable float32 arrays, the dtype the model
+record, and one record check serves both formats: the names, then the
+shapes. Records load as writable float32 arrays, the dtype the model
 trains in, so a float32 model saves and loads exactly, and save -> load ->
 save is byte-identical.
 
@@ -42,8 +43,8 @@ from pathlib import Path
 import numpy as np
 
 from .autograd import Tensor
-from .model import (ADAPTER_KEYS, AdapterError, AdapterSet, Model, ModelConfig,
-                    model_from_arrays, param_layout, swap_adapters)
+from .model import (AdapterSet, Model, ModelConfig, adapter_layout, model_from_arrays,
+                    param_layout, swap_adapters)
 
 CKPT_MAGIC = b"SSWP"
 ADAPTER_MAGIC = b"SSWA"
@@ -150,6 +151,21 @@ def _read(path: Path, magic: bytes, header_keys: dict[str, type]) -> tuple[dict,
     return header, records
 
 
+def _check_records(path: Path, what: str, stored: dict, expected: list) -> None:
+    """Refuse `stored` unless it holds exactly the `expected` (name, shape) records."""
+    shapes = dict(expected)
+    missing = sorted(shapes.keys() - stored.keys())
+    if missing:
+        raise StoreError(f"{path}: missing {what} record {missing[0]!r}")
+    extra = sorted(stored.keys() - shapes.keys())
+    if extra:
+        raise StoreError(f"{path}: unexpected {what} record {extra[0]!r}")
+    for name, shape in expected:
+        if stored[name].shape != shape:
+            raise StoreError(f"{path}: record {name!r} shaped {stored[name].shape}, "
+                             f"expected {shape}")
+
+
 # ---------------------------------------------------------------------------
 # checkpoints
 
@@ -158,15 +174,6 @@ def save_checkpoint(model: Model, path: Path) -> None:
     header = {"kind": "checkpoint", "config": asdict(model.config),
               "base_id": model.base_id}
     _write(path, CKPT_MAGIC, header, [(n, t.data) for n, t in model.params.items()])
-
-
-def _check_names(path: Path, what: str, stored: dict, expected) -> None:
-    missing = sorted(set(expected) - set(stored))
-    if missing:
-        raise StoreError(f"{path}: missing {what} record {missing[0]!r}")
-    extra = sorted(set(stored) - set(expected))
-    if extra:
-        raise StoreError(f"{path}: unexpected {what} record {extra[0]!r}")
 
 
 def load_checkpoint(path: Path) -> Model:
@@ -183,12 +190,8 @@ def load_checkpoint(path: Path) -> Model:
             raise StoreError(f"{path}: malformed file (model config {f.name}={value!r}, "
                              f"expected {type(f.default).__name__})")
     config = ModelConfig(**header["config"])
-    layout = param_layout(config)
-    _check_names(path, "parameter", stored, [name for name, *_ in layout])
-    for name, _, want, _ in layout:
-        if stored[name].shape != want:
-            raise StoreError(f"{path}: record {name!r} shaped {stored[name].shape}, "
-                             f"expected {want}")
+    _check_records(path, "parameter", stored,
+                   [(name, shape) for name, _, shape, _ in param_layout(config)])
     return model_from_arrays(config, stored, header["base_id"])
 
 
@@ -209,15 +212,12 @@ def load_adapter(path: Path, model: Model) -> AdapterSet:
         raise FingerprintMismatch(
             f"{path}: adapter was trained against base {header['base_id'][:12]}..., "
             f"model is {model.base_id[:12]}...")
-    layers = range(model.config.n_dec_layers)
-    _check_names(path, "adapter", stored,
-                 [f"adapter.{i}.{key}" for i in layers for key in ADAPTER_KEYS])
+    layout, layers = adapter_layout(model.config), range(model.config.n_dec_layers)
+    _check_records(path, "adapter", stored,
+                   [(f"adapter.{i}.{key}", shape) for i in layers for key, shape, _ in layout])
     adapters = AdapterSet(
         style_id=header["style_id"], mode=header["mode"],
-        layers=[{key: Tensor(stored[f"adapter.{i}.{key}"]) for key in ADAPTER_KEYS}
+        layers=[{key: Tensor(stored[f"adapter.{i}.{key}"]) for key, *_ in layout}
                 for i in layers])
-    try:
-        swap_adapters(model, adapters)
-    except AdapterError as exc:
-        raise StoreError(f"{path}: record {exc}") from None
+    swap_adapters(model, adapters)
     return adapters

@@ -35,8 +35,16 @@ MICRO = ["--set", "n_task=120", "--set", "n_style=120",
          "--set", "max_out_len=12", "--set", "tasks=headline"]
 
 
+def micro_with(extra) -> list[str]:
+    """MICRO without the keys that `extra`'s `--set` items set, then `extra`:
+    a key may be set only once."""
+    keys = {item.partition("=")[0] for flag, item in zip(extra, extra[1:]) if flag == "--set"}
+    return [arg for flag, item in zip(MICRO[::2], MICRO[1::2])
+            if item.partition("=")[0] not in keys for arg in (flag, item)] + list(extra)
+
+
 def run(workdir, *extra) -> int:
-    return cli.main(["--workdir", str(workdir), "--seed", "3", *MICRO, *list(extra)])
+    return cli.main(["--workdir", str(workdir), "--seed", "3", *micro_with(extra)])
 
 
 def micro_config():
@@ -121,6 +129,33 @@ class TestUsage:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    def test_key_set_twice_in_one_config_file_exits_1(self, tmp_path, capsys):
+        path = tmp_path / "run.cfg"
+        path.write_text("lr=0.5\nbatch_size=4\nlr=0.002\n", encoding="utf-8")
+        assert run(tmp_path / "w", "--config", str(path), "gen-data") == 1
+        assert capsys.readouterr().err == f"error: {path}:3: lr set again (first on line 1)\n"
+        assert not (tmp_path / "w").exists()
+
+    def test_key_set_twice_by_set_items_exits_1(self, tmp_path, capsys):
+        assert run(tmp_path / "w", "--set", "n_task=100", "--set", "n_task=120", "gen-data") == 1
+        assert capsys.readouterr().err == (
+            "error: --set n_task=120: n_task set again (first by --set n_task=100)\n")
+        assert not (tmp_path / "w").exists()
+
+    def test_stage_settings_reach_the_stage_run(self, tmp_path, capsys):
+        ws = tmp_path / "w"
+        flags = ["--set", "lr=0.002", "--set", "patience=5",
+                 "--set", "step1_epochs=2", "--set", "step2_epochs=3"]
+        assert run(ws, *flags, "gen-data") == 0
+        assert run(ws, *flags, "train-adapter", "--style", "s0") == 0
+        assert run(ws, *flags, "train-task", "--task", "headline") == 0
+        out = capsys.readouterr().out
+        assert "train-adapter: style=s0 mode=inverse-para epochs=2 " in out
+        assert "train-task: task=headline trainable=enc epochs=3 " in out
+        for label in ("step1.s0.inverse-para", "step2.headline.enc"):
+            lines = (ws / "logs" / f"{label}.jsonl").read_text(encoding="utf-8").splitlines()
+            assert lines and {json.loads(line)["lr"] for line in lines} == {0.002}, label
+
     @pytest.mark.parametrize("setting, message", [
         ("length_penalty=-1", "error: length_penalty must be >= 0, got -1.0\n"),
         ("max_out_len=0", "error: max_out_len must be >= 1, got 0\n")])
@@ -152,8 +187,8 @@ class TestUsage:
         ("seed=-1", "seed must be >= 0, got -1")])
     def test_bad_run_setting_exits_1_before_any_work(self, tmp_path, capsys, setting, message):
         # without run()'s --seed flag, which would override a seed key
-        assert cli.main(["--workdir", str(tmp_path / "w"), *MICRO, "--set", setting,
-                         "pipeline"]) == 1
+        assert cli.main(["--workdir", str(tmp_path / "w"),
+                         *micro_with(["--set", setting, "pipeline"])]) == 1
         assert capsys.readouterr().err == f"error: {message}\n"
         assert not (tmp_path / "w").exists()
 
@@ -414,6 +449,16 @@ class TestGenerate:
         err = capsys.readouterr().err
         assert err == "error: max_out_len=65 exceeds the model's max_len=64\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("blocked", ["x.out", "x.scores"])
+    def test_output_path_that_is_not_a_file_writes_nothing(self, flow, tmp_path, capsys,
+                                                           blocked):
+        (tmp_path / "o" / blocked).mkdir(parents=True)
+        assert run(flow, "generate", "--task", "headline", "--style", "s1",
+                   "--output", str(tmp_path / "o/x.out")) == 1
+        assert capsys.readouterr().err == (
+            f"error: {tmp_path}/o/{blocked}: exists and is not a regular file\n")
+        assert [p.name for p in (tmp_path / "o").iterdir()] == [blocked]
 
     def test_beam_flag_sets_the_beam(self, flow, tmp_path, capsys):
         assert run(flow, "generate", "--task", "headline", "--style", "s1", "--beam", "2",

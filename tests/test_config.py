@@ -128,8 +128,3 @@ class TestDerivedConfigs:
 
     def test_model_config_vocab_size_is_the_vocabulary(self):
         assert rc.RunConfig().model_config().vocab_size == len(Vocab())
-
-    def test_hyper_stage_overrides(self):
-        cfg = rc.RunConfig()
-        hp = cfg.hyper(epochs=9, seed=42)
-        assert hp.epochs == 9 and hp.seed == 42 and hp.lr == cfg.train.lr

@@ -135,6 +135,22 @@ class TestBuildModel:
                 assert np.array_equal(m.params[name].data, want), name
         assert m.positions.dtype == np.float32
 
+    def test_fresh_adapters_are_the_float32_rounding_of_float64_draws(self):
+        # ones and zeros, but for one float64 normal w_down per layer, in layer order
+        cfg = tiny_config()
+        adapters = mdl.fresh_adapters(cfg, "s1", seed=7)
+        rng = np.random.default_rng(7)
+        h, b = cfg.d_model, cfg.adapter_bottleneck
+        assert len(adapters.layers) == cfg.n_dec_layers
+        for i, layer in enumerate(adapters.layers):
+            want = {"ln_g": np.ones(h), "ln_b": np.zeros(h),
+                    "w_down": rng.normal(0.0, 0.02, size=(h, b)).astype(np.float32),
+                    "w_up": np.zeros((b, h))}
+            assert list(layer) == list(want), i
+            for key, t in layer.items():
+                assert t.data.dtype == np.float32, (i, key)
+                assert np.array_equal(t.data, want[key]), (i, key)
+
     def test_default_base_id_is_pinned(self):
         # the lineage of every existing checkpoint and adapter file: the
         # initial draws, their order and the parameter names must not move
@@ -310,6 +326,17 @@ class TestSwapAdapters:
         too_few = mdl.fresh_adapters(tiny_config(n_dec_layers=1), "s1")
         with pytest.raises(mdl.AdapterError):
             mdl.swap_adapters(m, too_few)
+
+    @pytest.mark.parametrize("edit", [
+        lambda layer: layer.update(w_side=ag.Tensor(np.zeros(3))),
+        lambda layer: layer.pop("w_up")], ids=["extra_key", "missing_key"])
+    def test_layer_keys_must_be_the_layout_keys(self, edit):
+        m = mdl.build_model(tiny_config())
+        adapters = mdl.fresh_adapters(m.config, "s1")
+        edit(adapters.layers[1])
+        with pytest.raises(mdl.AdapterError, match=r"^adapter layer 1 shaped \{"):
+            mdl.swap_adapters(m, adapters)
+        assert m.adapters is None
 
 
 class TestParamGroups:

@@ -2,6 +2,7 @@
 
 import json
 import multiprocessing
+import re
 import struct
 from types import SimpleNamespace
 
@@ -256,7 +257,8 @@ class TestCheckpoint:
         header = {"kind": "checkpoint", "config": mdl.asdict(model.config),
                   "base_id": model.base_id}
         store._write(tmp_path / "m.ckpt", store.CKPT_MAGIC, header, named[:-1])
-        with pytest.raises(store.StoreError, match="missing"):
+        with pytest.raises(store.StoreError,
+                           match=r"m\.ckpt: missing parameter record 'dec\.1\.ln3\.b'$"):
             store.load_checkpoint(tmp_path / "m.ckpt")
 
     def test_wrong_record_shape_detected(self, tmp_path):
@@ -358,8 +360,10 @@ class TestAdapterFiles:
                   "base_id": model.base_id}
         store._write(tmp_path / "bad.adapter", store.ADAPTER_MAGIC, header,
                      [(n, t.data) for n, t in named])
-        with pytest.raises(store.StoreError, match="missing adapter record"):
+        with pytest.raises(store.StoreError,
+                           match=r"bad\.adapter: missing adapter record 'adapter\.1\.w_up'$"):
             store.load_adapter(tmp_path / "bad.adapter", model)
+        assert model.adapters is None
 
     @pytest.mark.parametrize("record", ["adapter.0.ln_g", "adapter.1.ln_b",
                                         "adapter.0.w_down", "adapter.1.w_up"])
@@ -370,7 +374,9 @@ class TestAdapterFiles:
         header = {"kind": "adapter", "style_id": "s1", "mode": "fresh",
                   "base_id": model.base_id}
         store._write(tmp_path / "bad.adapter", store.ADAPTER_MAGIC, header, named)
-        with pytest.raises(store.StoreError, match=rf"bad\.adapter: record {record} shaped"):
+        expected = dict(adapters.named())[record].shape
+        with pytest.raises(store.StoreError, match=re.escape(
+                f"bad.adapter: record '{record}' shaped (3,), expected {expected}") + "$"):
             store.load_adapter(tmp_path / "bad.adapter", model)
         assert model.adapters is None
 
